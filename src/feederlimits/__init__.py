@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     FeederFileError,
     FeederLimitsError,
-    IllConditionedNetworkError,
     NoFeasiblePointError,
     NoSolutionError,
     ThermalLimitError,
@@ -36,14 +35,12 @@ from .limits import (
     OperatingPoint,
     SubstationModel,
     TwoBusCase,
-    aggregate,
     binding_limit,
     branch_of_marginal_point,
     lambda_prime,
     marginal_limit,
     marginal_transfer,
     metrics,
-    substation_power,
     thermal_limit,
 )
 from .sweep import (
@@ -61,6 +58,7 @@ from .twobus import (
     Impedance,
     RotatedPower,
     TwoBusSolution,
+    boundary_generation,
     boundary_power,
     discriminant,
     feasible,
@@ -68,6 +66,7 @@ from .twobus import (
     rotate,
     solve,
     unrotate,
+    upf_limit_generation,
     upf_limit_power,
 )
 

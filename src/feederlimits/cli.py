@@ -12,19 +12,11 @@ import json
 import math
 import sys
 
-from .errors import DomainError, FeederFileError, FeederLimitsError, ThermalLimitError
-from .feeder import load_feeder, single_branch_model, two_bus_equivalent
-from .limits import (
-    Limit,
-    OperatingPoint,
-    TwoBusCase,
-    lambda_prime,
-    marginal_limit,
-    metrics,
-    thermal_limit,
-)
+from .errors import DomainError, FeederFileError, FeederLimitsError
+from .feeder import FeederModel, load_feeder, single_branch_model, two_bus_equivalent
+from .limits import OperatingPoint, TwoBusCase, binding_limit, marginal_limit, metrics
 from .sweep import SweepConfig, frontier_curves, run_sweep
-from .twobus import Impedance, RotatedPower, unrotate
+from .twobus import Impedance, boundary_generation, upf_limit_generation
 
 
 def _fmt(value) -> str:
@@ -94,97 +86,62 @@ def case_dict(case: TwoBusCase) -> dict:
     }
 
 
-def _resolve_case(args, parser) -> tuple[TwoBusCase, object | None]:
-    """Build the two-bus case from a feeder file or inline parameters."""
+def _resolve_feeder(args, parser) -> tuple[FeederModel, str]:
+    """Feeder and generator bus from --feeder/--bus or inline --v0/--r/--x.
+
+    Inline parameters describe a single branch to generator bus "g", with
+    --i-plus as its ampacity (unbounded when omitted).
+    """
     inline = args.v0 is not None or args.r is not None or args.x is not None
     if args.feeder and inline:
         parser.error("--feeder and inline --v0/--r/--x are mutually exclusive")
     if args.feeder:
         if not args.bus:
             parser.error("--bus is required with --feeder")
-        model = load_feeder(args.feeder)
-        case, sub = two_bus_equivalent(
-            model,
-            args.bus,
-            v_plus=args.v_plus,
-            i_plus=args.i_plus,
-            p_plus=args.p_plus,
-        )
-        return case, sub
+        return load_feeder(args.feeder), args.bus
     if args.v0 is None or args.r is None or args.x is None:
         parser.error("either --feeder/--bus or all of --v0/--r/--x are required")
-    if args.i_plus is None:
-        parser.error("--i-plus is required in inline mode")
-    case = TwoBusCase(
-        v0=args.v0,
-        z=Impedance(args.r, args.x),
-        v_plus=args.v_plus,
-        i_plus=args.i_plus,
-        p_plus=args.p_plus,
-    )
-    return case, None
+    ampacity = args.i_plus if args.i_plus is not None else math.inf
+    return single_branch_model(Impedance(args.r, args.x), args.v0, ampacity=ampacity), "g"
 
 
 def cmd_limits(args, parser) -> int:
-    case, sub = _resolve_case(args, parser)
-    marginal = marginal_limit(case)
-    thermal = None
-    thermal_error = None
-    try:
-        thermal = thermal_limit(case)
-    except ThermalLimitError as exc:
-        thermal_error = str(exc)
-    if thermal is None or marginal.sg.p < thermal.sg.p:
-        binding = Limit.MARGINAL
-    else:
-        binding = Limit.THERMAL
-    lam_prime = lambda_prime(case.v0, case.v_plus)
+    model, bus = _resolve_feeder(args, parser)
+    if not args.feeder and args.i_plus is None:
+        parser.error("--i-plus is required in inline mode")
+    case, sub = two_bus_equivalent(
+        model, bus, v_plus=args.v_plus, i_plus=args.i_plus, p_plus=args.p_plus
+    )
+    limits = binding_limit(case)
+    marginal, thermal = limits.marginal, limits.thermal
+    binding, lam_prime = limits.binding.value, limits.lambda_prime
     if args.format == "json":
         report = {
             "case": case_dict(case),
             "lambda_prime": lam_prime,
-            "binding": binding.value,
+            "binding": binding,
             "marginal": point_dict(marginal),
             "thermal": point_dict(thermal) if thermal is not None else None,
         }
-        if thermal_error is not None:
-            report["thermal_error"] = thermal_error
-        if sub is not None:
+        if limits.thermal_error is not None:
+            report["thermal_error"] = limits.thermal_error
+        if args.feeder:
             report["s_load"] = {"p": sub.s_load.p, "q": sub.s_load.q}
         text = render_json(report)
     else:
         fields = ["limit", "binding", "lambda_prime"] + list(point_dict(marginal))
         rows = [
-            {"limit": "marginal", "binding": binding.value, "lambda_prime": lam_prime}
+            {"limit": "marginal", "binding": binding, "lambda_prime": lam_prime}
             | point_dict(marginal)
         ]
         if thermal is not None:
             rows.append(
-                {"limit": "thermal", "binding": binding.value, "lambda_prime": lam_prime}
+                {"limit": "thermal", "binding": binding, "lambda_prime": lam_prime}
                 | point_dict(thermal)
             )
         text = render_csv(rows, fields)
     _write(text, args.out)
     return 0
-
-
-def _upf_limit_generation(v0: float, v_plus: float, r: float, z_sq: float) -> float:
-    """Generated power where unity-power-factor operation first hits V+."""
-    w = v_plus * v_plus
-    disc = r * r * w * w + z_sq * w * (v0 * v0 - w)
-    if disc < 0.0:
-        return math.nan
-    return (r * w - math.sqrt(disc)) / z_sq
-
-
-def _boundary_generation(v0: float, v_plus: float, z: Impedance) -> float:
-    """Generated power on the zero-discriminant boundary at |Vg| = V+."""
-    arg = v_plus * v_plus - v0 * v0 / 4.0
-    if arg < 0.0:
-        return math.nan
-    p_t = v_plus * v_plus - v0 * v0 / 2.0
-    q_t = -v0 * math.sqrt(arg)
-    return unrotate(RotatedPower(p_t, q_t), z).p
 
 
 def cmd_curves(args, parser) -> int:
@@ -210,8 +167,8 @@ def cmd_curves(args, parser) -> int:
             {
                 "lambda": lam,
                 "pg_marginal": point.sg.p,
-                "pg_upf": _upf_limit_generation(args.v0, args.v_plus, z.r, z_mag * z_mag),
-                "pg_bdry": _boundary_generation(args.v0, args.v_plus, z),
+                "pg_upf": upf_limit_generation(z, args.v0, args.v_plus),
+                "pg_bdry": boundary_generation(z, args.v0, args.v_plus),
                 "p0_marginal": point.s0.p,
                 "efficiency": efficiency,
                 "pf_gen": pf_gen,
@@ -232,22 +189,7 @@ def _frontier_path(out: str) -> str:
 def cmd_sweep(args, parser) -> int:
     if args.out is None:
         parser.error("--out is required for sweep (summary plus frontier file)")
-    inline = args.v0 is not None or args.r is not None or args.x is not None
-    if args.feeder and inline:
-        parser.error("--feeder and inline --v0/--r/--x are mutually exclusive")
-    if args.feeder:
-        if not args.bus:
-            parser.error("--bus is required with --feeder")
-        model = load_feeder(args.feeder)
-        bus = args.bus
-    elif inline:
-        if args.v0 is None or args.r is None or args.x is None:
-            parser.error("inline mode needs all of --v0/--r/--x")
-        ampacity = args.i_plus if args.i_plus is not None else math.inf
-        model = single_branch_model(Impedance(args.r, args.x), args.v0, ampacity=ampacity)
-        bus = "g"
-    else:
-        parser.error("either --feeder/--bus or inline --v0/--r/--x are required")
+    model, bus = _resolve_feeder(args, parser)
     config = SweepConfig(
         p_range=(args.p_min, args.p_max, args.p_step),
         q_range=(args.q_min, args.q_max, args.q_step),

@@ -24,17 +24,9 @@ class ThermalLimitError(FeederLimitsError):
 class ConvergenceError(FeederLimitsError):
     """The iterative feeder solver failed to converge."""
 
-    def __init__(self, message, mismatch=None):
-        super().__init__(message)
-        self.mismatch = mismatch
-
 
 class TopologyError(FeederLimitsError):
     """The feeder graph is not a tree rooted at the source bus."""
-
-
-class IllConditionedNetworkError(FeederLimitsError):
-    """The nodal admittance system is singular or near-singular."""
 
 
 class FeederFileError(FeederLimitsError):

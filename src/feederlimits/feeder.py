@@ -2,8 +2,9 @@
 
 The model is a tree of series impedances rooted at a fixed-voltage source
 bus, with constant-power loads and generator injections at buses.  The solver
-is a backward/forward sweep; a nodal-admittance current injection provides
-the Thevenin impedance used to collapse the feeder into a two-bus case.
+is a backward/forward sweep.  With no shunt elements, the Thevenin impedance
+that collapses the feeder into a two-bus case is the series sum of the branch
+impedances on the source → bus path.
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    FeederFileError,
-    IllConditionedNetworkError,
-    TopologyError,
-)
+from .errors import ConvergenceError, DomainError, FeederFileError, TopologyError
 from .limits import SubstationModel, TwoBusCase
 from .twobus import ComplexPower, Impedance
 
@@ -34,6 +27,11 @@ class BranchSpec:
     to_bus: str
     z: Impedance
     ampacity: float
+
+    def __post_init__(self):
+        # +inf is allowed and means unbounded
+        if not self.ampacity >= 0.0:
+            raise DomainError(f"ampacity must be a non-negative number: {self.ampacity!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,8 @@ class FeederModel:
     _order_branch: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        if self.v0 <= 0.0:
-            raise ValueError("source voltage must be positive")
+        if not self.v0 > 0.0:
+            raise DomainError(f"source voltage must be positive: {self.v0!r}")
         if self.source not in self.buses:
             raise TopologyError(f"source bus {self.source!r} is not a bus")
         if len(set(self.buses)) != len(self.buses):
@@ -130,7 +128,6 @@ class PowerFlowResult:
     branch_currents: dict[tuple[str, str], float]
     total_losses: ComplexPower
     s0_sub: ComplexPower
-    converged: bool
     iterations: int
     max_mismatch: float
 
@@ -176,7 +173,6 @@ def solve_feeder(
     volt = [v0] * n
     currents = [0j] * n
     iterations = 0
-    converged = False
     delta = math.inf
     checkpoint = math.inf
     while iterations < max_iter:
@@ -199,11 +195,8 @@ def solve_feeder(
                 bad = True
         currents = flow
         if bad:
-            raise ConvergenceError(
-                f"power flow diverged after {iterations} iterations", mismatch=delta
-            )
+            raise ConvergenceError(f"power flow diverged after {iterations} iterations")
         if delta < tol:
-            converged = True
             break
         # a contraction rate needing >32 iterations per error quarter would
         # blow the iteration budget anyway; call it divergence now
@@ -211,15 +204,13 @@ def solve_feeder(
             if delta > 0.25 * checkpoint:
                 raise ConvergenceError(
                     f"power flow stalled after {iterations} iterations "
-                    f"(voltage change {delta:.3e})",
-                    mismatch=delta,
+                    f"(voltage change {delta:.3e})"
                 )
             checkpoint = delta
-    if not converged:
+    else:
         raise ConvergenceError(
             f"power flow did not converge in {max_iter} iterations "
-            f"(last voltage change {delta:.3e})",
-            mismatch=delta,
+            f"(last voltage change {delta:.3e})"
         )
 
     branch_currents: dict[tuple[str, str], float] = {}
@@ -248,49 +239,22 @@ def solve_feeder(
         branch_currents=branch_currents,
         total_losses=ComplexPower(losses.real, losses.imag),
         s0_sub=ComplexPower(s0.real, s0.imag),
-        converged=True,
         iterations=iterations,
         max_mismatch=max_mismatch,
     )
 
 
 def thevenin_impedance(model: FeederModel, bus: str) -> Impedance:
-    """Thevenin impedance between the source and a bus by current injection.
+    """Thevenin impedance between the source and a bus.
 
-    Holds the source at fixed voltage, injects a unit current at the bus and
-    reads the voltage deviation there off the reduced nodal admittance
-    system.
+    A radial feeder without shunt elements carries an injection at the bus
+    only along the source → bus path, so the impedance is the series sum
+    of that path's branches.
     """
     if bus == model.source:
         raise DomainError("thevenin impedance at the source bus is degenerate")
-    if bus not in model.buses:
-        raise DomainError(f"unknown bus {bus!r}")
-    index = {b: k for k, b in enumerate(model.buses)}
-    n = len(model.buses)
-    y = np.zeros((n, n), dtype=complex)
-    for br in model.branches:
-        z = complex(br.z.r, br.z.x)
-        if z == 0:
-            raise IllConditionedNetworkError(
-                f"zero-impedance branch {br.from_bus}-{br.to_bus}"
-            )
-        adm = 1.0 / z
-        i, j = index[br.from_bus], index[br.to_bus]
-        y[i, i] += adm
-        y[j, j] += adm
-        y[i, j] -= adm
-        y[j, i] -= adm
-    keep = [k for k in range(n) if k != index[model.source]]
-    y_red = y[np.ix_(keep, keep)]
-    rhs = np.zeros(len(keep), dtype=complex)
-    rhs[keep.index(index[bus])] = 1.0
-    try:
-        dv = np.linalg.solve(y_red, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedNetworkError(str(exc)) from exc
-    z_th = dv[keep.index(index[bus])]
-    # rounding can leave tiny negative components on an R,X >= 0 network
-    return Impedance(float(max(z_th.real, 0.0)), float(max(z_th.imag, 0.0)))
+    path = model.path_to(bus)
+    return Impedance(math.fsum(br.z.r for br in path), math.fsum(br.z.x for br in path))
 
 
 def two_bus_equivalent(
@@ -299,7 +263,6 @@ def two_bus_equivalent(
     v_plus: float,
     i_plus: float | None = None,
     p_plus: float | None = None,
-    q_comp: float = 0.0,
 ) -> tuple[TwoBusCase, SubstationModel]:
     """Collapse the feeder into a two-bus case for a generator at ``bus``.
 
@@ -310,7 +273,7 @@ def two_bus_equivalent(
     if i_plus is None:
         i_plus = min(br.ampacity for br in model.path_to(bus))
     case = TwoBusCase(v0=model.v0, z=z, v_plus=v_plus, i_plus=i_plus, p_plus=p_plus)
-    sub = SubstationModel(s_load=model.total_load(), q_comp=q_comp)
+    sub = SubstationModel(s_load=model.total_load())
     return case, sub
 
 

@@ -20,6 +20,7 @@ from .twobus import (
     ComplexPower,
     Impedance,
     RotatedPower,
+    _require_line,
     solve,
     unrotate,
 )
@@ -44,8 +45,10 @@ class TwoBusCase:
     p_plus: float | None = None
 
     def __post_init__(self):
-        if self.v0 <= 0.0 or self.v_plus <= 0.0 or self.i_plus < 0.0:
-            raise ValueError(f"invalid case parameters: {self}")
+        # written so that NaN fails every comparison
+        if not (self.v0 > 0.0 and self.v_plus > 0.0 and self.i_plus >= 0.0):
+            raise DomainError(f"invalid case parameters: {self}")
+        _require_line(self.z)
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,21 @@ class Limit(enum.Enum):
 @dataclass(frozen=True)
 class LimitReport:
     """Both limit points; thermal is None when the ampacity is so large that
-    the thermal point falls off the voltage-limit locus entirely."""
+    the thermal point falls off the voltage-limit locus entirely, and
+    thermal_error then says why."""
 
     thermal: OperatingPoint | None
     marginal: OperatingPoint
     binding: Limit
     lambda_prime: float
+    thermal_error: str | None
 
 
 @dataclass(frozen=True)
 class SubstationModel:
-    """Aggregated feeder load plus substation reactive compensation."""
+    """Aggregated feeder load seen through the substation."""
 
     s_load: ComplexPower
-    q_comp: float = 0.0
 
 
 def metrics(sg: ComplexPower, s0: ComplexPower) -> tuple[float, float, float]:
@@ -135,11 +139,11 @@ def operating_point(sg_t: RotatedPower, case: TwoBusCase) -> OperatingPoint:
     )
 
 
-def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float, float]:
-    """Rotated real power of the thermal limit and both reactive roots.
+def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float]:
+    """Rotated coordinates (p_t, q_t) of the thermal limit point.
 
-    Returns (p_t, q_t_negative, q_t_positive).  The limit itself always uses
-    the negative root; the positive one exists for inspection only.
+    Of the two reactive roots ±q_t the negative one gives the larger
+    generated power, so it is the one returned.
     """
     if not math.isfinite(case.i_plus):
         raise ThermalLimitError("ampacity is unbounded, no thermal limit point exists")
@@ -151,13 +155,12 @@ def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float, float]:
             "thermal limit does not intersect the voltage-limit locus "
             f"(root argument {arg:.3e} < 0)"
         )
-    root = math.sqrt(arg)
-    return p_t, -root, root
+    return p_t, -math.sqrt(arg)
 
 
 def thermal_limit(case: TwoBusCase) -> OperatingPoint:
     """Operating point at ampacity current on the voltage-limit locus."""
-    p_t, q_t, _ = thermal_rotated_roots(case)
+    p_t, q_t = thermal_rotated_roots(case)
     return operating_point(RotatedPower(p_t, q_t), case)
 
 
@@ -209,10 +212,12 @@ def binding_limit(case: TwoBusCase) -> LimitReport:
     A current limit too generous to intersect the voltage-limit locus leaves
     no thermal point; the marginal limit then binds by default.
     """
+    thermal_error = None
     try:
         thermal = thermal_limit(case)
-    except ThermalLimitError:
+    except ThermalLimitError as exc:
         thermal = None
+        thermal_error = str(exc)
     marginal = marginal_limit(case)
     if thermal is None or marginal.sg.p < thermal.sg.p:
         binding = Limit.MARGINAL
@@ -223,14 +228,6 @@ def binding_limit(case: TwoBusCase) -> LimitReport:
         marginal=marginal,
         binding=binding,
         lambda_prime=lambda_prime(case.v0, case.v_plus),
+        thermal_error=thermal_error,
     )
 
-
-def aggregate(gen: ComplexPower, sub: SubstationModel) -> ComplexPower:
-    """Net injection seen by the two-bus model: generation minus feeder load."""
-    return gen - sub.s_load
-
-
-def substation_power(s0: ComplexPower, sub: SubstationModel) -> ComplexPower:
-    """Power through the substation after reactive compensation."""
-    return ComplexPower(s0.p, s0.q - sub.q_comp)

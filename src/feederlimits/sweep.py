@@ -13,15 +13,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, NoFeasiblePointError, ThermalLimitError
+from .errors import ConvergenceError, NoFeasiblePointError
 from .feeder import FeederModel, solve_feeder, two_bus_equivalent
-from .limits import (
-    OperatingPoint,
-    SubstationModel,
-    TwoBusCase,
-    marginal_limit,
-    thermal_limit,
-)
+from .limits import OperatingPoint, SubstationModel, TwoBusCase, binding_limit
 from .twobus import ComplexPower
 
 # feasibility slack so points sitting exactly on a limit survive rounding
@@ -165,11 +159,9 @@ def run_sweep(
     thermal_pt = max(frontier, key=lambda pt: pt.p_gen)
 
     case, sub = two_bus_equivalent(model, bus, v_plus=config.v_plus, p_plus=config.p_plus)
-    predicted_marginal = marginal_limit(case)
-    try:
-        predicted_thermal = thermal_limit(case)
-    except ThermalLimitError:
-        predicted_thermal = None
+    predicted = binding_limit(case)
+    predicted_marginal = predicted.marginal
+    predicted_thermal = predicted.thermal
 
     p_load = sub.s_load.p
     errors = SweepErrors(

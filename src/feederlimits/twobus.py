@@ -28,8 +28,9 @@ class Impedance:
     x: float
 
     def __post_init__(self):
-        if self.r < 0.0 or self.x < 0.0:
-            raise ValueError(f"impedance components must be non-negative: {self}")
+        # written so that NaN fails every comparison
+        if not (self.r >= 0.0 and self.x >= 0.0):
+            raise DomainError(f"impedance components must be non-negative numbers: {self}")
 
     def magnitude(self) -> float:
         return math.hypot(self.r, self.x)
@@ -168,6 +169,34 @@ def upf_limit_power(pg: float, vg_sq: float, v0: float, z_mag: float) -> float:
     if z_mag <= 0.0:
         raise DegenerateImpedanceError("impedance magnitude must be positive")
     return -pg + (v0 * v0 + vg_sq) / z_mag
+
+
+def upf_limit_generation(z: Impedance, v0: float, v_plus: float) -> float:
+    """Generated power where unity-power-factor operation first hits V+.
+
+    NaN when no unity-power-factor generation lifts the voltage to V+,
+    which happens on near-reactive lines.
+    """
+    _require_line(z)
+    z_sq = z.r * z.r + z.x * z.x
+    w = v_plus * v_plus
+    disc = z.r * z.r * w * w + z_sq * w * (v0 * v0 - w)
+    if disc < 0.0:
+        return math.nan
+    return (z.r * w - math.sqrt(disc)) / z_sq
+
+
+def boundary_generation(z: Impedance, v0: float, v_plus: float) -> float:
+    """Generated power on the solution boundary (zero discriminant) at |Vg| = V+.
+
+    NaN when the boundary never reaches V+, i.e. V+ < V0/2.
+    """
+    arg = v_plus * v_plus - v0 * v0 / 4.0
+    if arg < 0.0:
+        return math.nan
+    p_t = v_plus * v_plus - v0 * v0 / 2.0
+    q_t = -v0 * math.sqrt(arg)
+    return unrotate(RotatedPower(p_t, q_t), z).p
 
 
 def boundary_power(z: Impedance, v0: float, vg: float) -> float:

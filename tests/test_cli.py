@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import feederlimits
 from feederlimits import bundled_feeder_path
 from feederlimits.cli import main
 
@@ -97,6 +101,19 @@ class TestLimitsCommand:
         with pytest.raises(SystemExit) as err:
             main(["limits", "--v0", "1", "--r", "0.5", "--x", "0.5"])
         assert err.value.code == 2
+
+    def test_zero_impedance_is_runtime_error(self, capsys):
+        code = main(["limits", "--v0", "1", "--r", "0", "--x", "0", "--i-plus", "1"])
+        assert code == 1
+        assert "impedance magnitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--v0", "--r", "--i-plus", "--v-plus"])
+    def test_nan_input_is_usage_error(self, capsys, flag):
+        argv = {"--v0": "1", "--r": "0.5", "--x": "0.5", "--i-plus": "1", "--v-plus": "1.06"}
+        argv[flag] = "nan"
+        code = main(["limits"] + [tok for pair in argv.items() for tok in pair])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCurvesCommand:
@@ -263,3 +280,13 @@ class TestDeterminism:
         assert code == 0
         raw = report["marginal"]["pg"]
         assert raw == float(format(raw, ".12g"))
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(feederlimits.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, feederlimits.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

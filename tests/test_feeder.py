@@ -7,6 +7,7 @@ import pytest
 from feederlimits import bundled_feeder_path
 from feederlimits.errors import (
     ConvergenceError,
+    DegenerateImpedanceError,
     DomainError,
     FeederFileError,
     TopologyError,
@@ -78,6 +79,19 @@ class TestModelValidation:
                 source="a",
                 v0=1.0,
             )
+
+    def test_nan_source_voltage_rejected(self):
+        with pytest.raises(DomainError):
+            single_branch_model(Impedance(0.1, 0.1), v0=math.nan)
+
+    def test_nan_or_negative_ampacity_rejected(self):
+        for ampacity in (math.nan, -1.0):
+            with pytest.raises(DomainError):
+                BranchSpec("a", "b", Impedance(0.1, 0.1), ampacity)
+
+    def test_parser_reports_bad_ampacity_with_line_number(self):
+        with pytest.raises(FeederFileError, match=":2: ampacity"):
+            parse_feeder("[branch]\na b 0.05 0.1 nan\n")
 
     def test_path_to_walks_source_first(self):
         model = three_bus_model()
@@ -189,6 +203,34 @@ class TestTheveninImpedance:
     def test_source_bus_is_degenerate(self):
         with pytest.raises(DomainError):
             thevenin_impedance(three_bus_model(), "s")
+
+    def test_unknown_bus_rejected(self):
+        with pytest.raises(DomainError, match="unknown bus"):
+            thevenin_impedance(three_bus_model(), "zz")
+
+    def test_zero_impedance_branch_off_the_path_is_accepted(self):
+        # a zero-impedance lateral makes the nodal admittance matrix
+        # singular, but it carries no current for an injection elsewhere
+        model = FeederModel(
+            buses=("s", "m", "e", "t"),
+            branches=(
+                BranchSpec("s", "m", Impedance(0.02, 0.04), 2.0),
+                BranchSpec("m", "e", Impedance(0.03, 0.01), 1.0),
+                BranchSpec("m", "t", Impedance(0.0, 0.0), 1.0),
+            ),
+            loads={},
+            source="s",
+            v0=1.0,
+        )
+        z = thevenin_impedance(model, "e")
+        assert z.r == pytest.approx(0.05, abs=1e-12)
+        assert z.x == pytest.approx(0.05, abs=1e-12)
+
+    def test_zero_impedance_path_has_no_two_bus_equivalent(self):
+        model = single_branch_model(Impedance(0.0, 0.0), v0=1.0)
+        assert thevenin_impedance(model, "g") == Impedance(0.0, 0.0)
+        with pytest.raises(DegenerateImpedanceError):
+            two_bus_equivalent(model, "g", v_plus=1.06)
 
 
 class TestTwoBusEquivalent:

@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from feederlimits.errors import DomainError, ThermalLimitError
+from feederlimits.errors import DegenerateImpedanceError, DomainError, ThermalLimitError
 from feederlimits.limits import (
     Limit,
-    SubstationModel,
     TwoBusCase,
-    aggregate,
     binding_limit,
     branch_of_marginal_point,
     lambda_prime,
@@ -18,7 +16,6 @@ from feederlimits.limits import (
     marginal_transfer,
     metrics,
     operating_point,
-    substation_power,
     thermal_limit,
     thermal_rotated_roots,
 )
@@ -39,7 +36,7 @@ def case_with(lam: float, z_mag: float = 1.0, v0: float = 1.0, v_plus: float = 1
 
 class TestThermalLimit:
     def test_rotated_coordinates_unit_case(self):
-        p_t, q_t, _ = thermal_rotated_roots(UNIT_CASE)
+        p_t, q_t = thermal_rotated_roots(UNIT_CASE)
         assert p_t == pytest.approx(0.5618, abs=1e-5)
         assert q_t == pytest.approx(-0.89888, abs=1e-5)
 
@@ -51,7 +48,7 @@ class TestThermalLimit:
     def test_matched_voltage_limits_give_pure_reactive_root(self):
         # V+ = V0 puts the real coordinate at (|Z| I+)^2 / 2
         case = TwoBusCase(v0=1.0, z=Impedance(0.6, 0.8), v_plus=1.0, i_plus=1.0)
-        p_t, q_t, _ = thermal_rotated_roots(case)
+        p_t, q_t = thermal_rotated_roots(case)
         assert p_t == pytest.approx(0.5)
         assert q_t == pytest.approx(-0.86603, abs=1e-5)
 
@@ -72,9 +69,10 @@ class TestThermalLimit:
             thermal_limit(case)
 
     def test_negative_root_maximises_generated_power(self):
-        p_t, q_neg, q_pos = thermal_rotated_roots(UNIT_CASE)
+        p_t, q_neg = thermal_rotated_roots(UNIT_CASE)
+        q_pos = -q_neg
         z = UNIT_CASE.z
-        assert q_neg == -q_pos
+        assert q_neg < 0.0
         pg_neg = (p_t * z.r - q_neg * z.x) / z.magnitude() ** 2
         pg_pos = (p_t * z.r - q_pos * z.x) / z.magnitude() ** 2
         assert pg_neg > pg_pos
@@ -189,6 +187,7 @@ class TestBindingLimit:
         report = binding_limit(case_with(1.0, i_plus=0.3))
         assert report.binding is Limit.THERMAL
         assert report.thermal is not None
+        assert report.thermal_error is None
         assert report.thermal.sg.p < report.marginal.sg.p
         assert report.thermal.sg.p == pytest.approx(0.2873, abs=1e-4)
 
@@ -202,6 +201,12 @@ class TestBindingLimit:
         report = binding_limit(case_with(1.0, i_plus=100.0))
         assert report.thermal is None
         assert report.binding is Limit.MARGINAL
+        assert "does not intersect" in report.thermal_error
+
+    def test_unbounded_ampacity_reports_why_thermal_is_missing(self):
+        report = binding_limit(case_with(1.0, i_plus=math.inf))
+        assert report.thermal is None
+        assert "unbounded" in report.thermal_error
 
     def test_report_carries_crossover_ratio(self):
         report = binding_limit(UNIT_CASE)
@@ -253,25 +258,6 @@ class TestOperatingPoint:
         assert point.losses.p == pytest.approx(point.losses.q, abs=1e-12)
 
 
-class TestSubstationAggregation:
-    def test_aggregate_subtracts_feeder_load(self):
-        sub = SubstationModel(s_load=ComplexPower(0.71032, 0.11761))
-        net = aggregate(ComplexPower(2.58, 0.0), sub)
-        assert net.p == pytest.approx(1.86968)
-        assert net.q == pytest.approx(-0.11761)
-
-    def test_compensation_shifts_reactive_flow_only(self):
-        sub = SubstationModel(s_load=ComplexPower(0.0, 0.0), q_comp=0.3)
-        s0 = substation_power(ComplexPower(1.0, -0.2), sub)
-        assert s0.p == 1.0
-        assert s0.q == pytest.approx(-0.5)
-
-    def test_no_load_is_identity(self):
-        sub = SubstationModel(s_load=ComplexPower(0.0, 0.0))
-        gen = ComplexPower(1.2, -0.3)
-        assert aggregate(gen, sub) == gen
-
-
 class TestCaseValidation:
     def test_negative_ampacity_rejected(self):
         with pytest.raises(ValueError):
@@ -282,3 +268,14 @@ class TestCaseValidation:
             TwoBusCase(v0=0.0, z=Impedance(0.5, 0.5), v_plus=1.06, i_plus=1.0)
         with pytest.raises(ValueError):
             TwoBusCase(v0=1.0, z=Impedance(0.5, 0.5), v_plus=-1.0, i_plus=1.0)
+
+    def test_nan_parameters_rejected(self):
+        z = Impedance(0.5, 0.5)
+        for v0, v_plus, i_plus in ((math.nan, 1.06, 1.0), (1.0, math.nan, 1.0),
+                                   (1.0, 1.06, math.nan)):
+            with pytest.raises(DomainError):
+                TwoBusCase(v0=v0, z=z, v_plus=v_plus, i_plus=i_plus)
+
+    def test_zero_impedance_rejected(self):
+        with pytest.raises(DegenerateImpedanceError):
+            TwoBusCase(v0=1.0, z=Impedance(0.0, 0.0), v_plus=1.06, i_plus=1.0)

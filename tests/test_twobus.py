@@ -12,6 +12,7 @@ from feederlimits.twobus import (
     ComplexPower,
     Impedance,
     RotatedPower,
+    boundary_generation,
     boundary_power,
     discriminant,
     feasible,
@@ -19,6 +20,7 @@ from feederlimits.twobus import (
     rotate,
     solve,
     unrotate,
+    upf_limit_generation,
     upf_limit_power,
 )
 
@@ -50,6 +52,11 @@ class TestImpedance:
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
             Impedance(-0.1, 0.2)
+
+    def test_nan_components_rejected(self):
+        for r, x in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                Impedance(r, x)
 
 
 class TestRotate:
@@ -254,6 +261,45 @@ class TestUpfLimitPower:
             shifted = ratio_form_transfer(sg, z, vg_sq, v0) + 2.0 * v0 * v0 * z.r
             limit = upf_limit_power(sg.p, vg_sq, v0, 1.0)
             assert abs(shifted - limit) < 1e-4
+
+
+class TestUpfLimitGeneration:
+    def test_unity_power_factor_lands_on_voltage_limit(self):
+        for lam in (0.5, 1.0, 3.0, 100.0):
+            z = Impedance(lam / math.sqrt(1 + lam * lam), 1.0 / math.sqrt(1 + lam * lam))
+            pg = upf_limit_generation(z, 1.0, 1.06)
+            sol = solve(rotate(ComplexPower(pg, 0.0), z), 1.0, Branch.HIGH_VOLTAGE)
+            assert sol.vg_sq == pytest.approx(1.06**2, abs=1e-12)
+
+    def test_resistive_line(self):
+        # |Vg| = V0 + R·Pg/|Vg| at unity power factor on a resistive line
+        pg = upf_limit_generation(Impedance(0.2, 0.0), 1.0, 1.06)
+        assert pg == pytest.approx(1.06 * 0.06 / 0.2, abs=1e-12)
+
+    def test_reactive_line_never_reaches_limit(self):
+        assert math.isnan(upf_limit_generation(Impedance(0.0, 1.0), 1.0, 1.06))
+
+    def test_zero_impedance_rejected(self):
+        with pytest.raises(DegenerateImpedanceError):
+            upf_limit_generation(Impedance(0.0, 0.0), 1.0, 1.06)
+
+
+class TestBoundaryGeneration:
+    def test_lossless_line_delivers_everything(self):
+        z = Impedance(0.0, 1.0)
+        assert boundary_generation(z, 1.0, 1.06) == pytest.approx(
+            boundary_power(z, 1.0, 1.06), abs=1e-12
+        )
+
+    def test_generation_minus_losses_is_boundary_transfer(self):
+        # on the boundary the rotated losses equal |Vg|^2 = V+^2
+        for z in (Impedance(0.3, 0.4), Impedance(1.0, 0.0), Z45):
+            pg = boundary_generation(z, 1.0, 1.06)
+            losses = 1.06**2 * z.r / z.magnitude() ** 2
+            assert pg - losses == pytest.approx(boundary_power(z, 1.0, 1.06), abs=1e-12)
+
+    def test_nan_below_half_source_voltage(self):
+        assert math.isnan(boundary_generation(Z45, 1.0, 0.4))
 
 
 class TestBoundaryPower:
