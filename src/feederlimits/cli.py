@@ -196,7 +196,7 @@ def cmd_sweep(args, parser) -> int:
         v_plus=args.v_plus,
         p_plus=args.p_plus,
     )
-    report = run_sweep(model, bus, config, workers=args.workers)
+    report = run_sweep(model, bus, config)
     errors = {
         "eps_pg_marginal": report.errors.pg_marginal,
         "eps_pg_thermal": report.errors.pg_thermal,
@@ -248,14 +248,12 @@ def cmd_equivalent(args, parser) -> int:
     return 0
 
 
-def _add_common(sub, feeder=True, inline=True):
-    if feeder:
-        sub.add_argument("--feeder", help="feeder description file")
-        sub.add_argument("--bus", help="generator bus id")
-    if inline:
-        sub.add_argument("--v0", type=float, help="source voltage, pu")
-        sub.add_argument("--r", type=float, help="line resistance, pu")
-        sub.add_argument("--x", type=float, help="line reactance, pu")
+def _add_common(sub):
+    sub.add_argument("--feeder", help="feeder description file")
+    sub.add_argument("--bus", help="generator bus id")
+    sub.add_argument("--v0", type=float, help="source voltage, pu")
+    sub.add_argument("--r", type=float, help="line resistance, pu")
+    sub.add_argument("--x", type=float, help="line reactance, pu")
     sub.add_argument("--v-plus", type=float, default=1.06, help="upper voltage limit, pu")
     sub.add_argument("--i-plus", type=float, help="current limit, pu")
     sub.add_argument("--p-plus", type=float, help="substation real power limit, pu")
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--q-min", type=float, default=-4.0)
     p_sweep.add_argument("--q-max", type=float, default=4.0)
     p_sweep.add_argument("--q-step", type=float, default=0.01)
-    p_sweep.add_argument("--workers", type=int, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_equiv = subparsers.add_parser(

@@ -19,6 +19,9 @@ from .twobus import ComplexPower, Impedance
 # Voltage magnitudes outside this window mark a diverging sweep early.
 _V_BLOWUP = 1.0e3
 _V_COLLAPSE = 1.0e-9
+# Sweep budget and convergence tolerance on the largest voltage change.
+_MAX_ITER = 512
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -133,24 +136,23 @@ class PowerFlowResult:
 
 
 def solve_feeder(
-    model: FeederModel,
-    injections: dict[str, ComplexPower] | None = None,
-    max_iter: int = 512,
-    tol: float = 1e-10,
+    model: FeederModel, injections: dict[str, ComplexPower] | None = None
 ) -> PowerFlowResult:
     """Backward/forward sweep power flow.
 
-    ``injections`` are generator powers (positive into the network); loads
-    come from the model.  Iterates until the largest complex voltage change
-    drops below ``tol``, raising :class:`ConvergenceError` otherwise.  Heavy
-    loading slows the sweep's linear convergence, so the iteration cap is
-    generous; a stalling voltage change is detected early and reported as
-    divergence instead of burning the full budget.
+    ``injections`` are generator powers (positive into the network) at
+    non-source buses; loads come from the model.  Iterates until the
+    largest complex voltage change drops below ``_TOL``, raising
+    :class:`ConvergenceError` otherwise.  Heavy loading slows the sweep's
+    linear convergence, so the iteration cap is generous; a stalling
+    voltage change is detected early and reported as divergence instead of
+    burning the full budget.
     """
     injections = injections or {}
     for bus in injections:
-        if bus not in model.buses:
-            raise DomainError(f"injection at unknown bus {bus!r}")
+        # the source voltage is fixed, so an injection there would be dropped
+        if bus not in model.buses or bus == model.source:
+            raise DomainError(f"injection at unknown or source bus {bus!r}")
 
     order = model._order
     parent = model._parent
@@ -175,7 +177,7 @@ def solve_feeder(
     iterations = 0
     delta = math.inf
     checkpoint = math.inf
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         iterations += 1
         flow = [0j] * n
         for k in range(n - 1, 0, -1):
@@ -196,7 +198,7 @@ def solve_feeder(
         currents = flow
         if bad:
             raise ConvergenceError(f"power flow diverged after {iterations} iterations")
-        if delta < tol:
+        if delta < _TOL:
             break
         # a contraction rate needing >32 iterations per error quarter would
         # blow the iteration budget anyway; call it divergence now
@@ -209,7 +211,7 @@ def solve_feeder(
             checkpoint = delta
     else:
         raise ConvergenceError(
-            f"power flow did not converge in {max_iter} iterations "
+            f"power flow did not converge in {_MAX_ITER} iterations "
             f"(last voltage change {delta:.3e})"
         )
 
@@ -375,8 +377,6 @@ def single_branch_model(
     v0: float,
     ampacity: float = math.inf,
     load: ComplexPower | None = None,
-    s_base: float | None = None,
-    v_base: float | None = None,
 ) -> FeederModel:
     """Two-bus feeder (source "0", generator bus "g") for desk-scale studies."""
     loads = {"g": load} if load is not None else {}
@@ -386,6 +386,4 @@ def single_branch_model(
         loads=loads,
         source="0",
         v0=v0,
-        s_base=s_base,
-        v_base=v_base,
     )

@@ -10,16 +10,17 @@ that the closed-form predictions are scored against.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, NoFeasiblePointError
+from .errors import ConvergenceError, DomainError, NoFeasiblePointError
 from .feeder import FeederModel, solve_feeder, two_bus_equivalent
 from .limits import OperatingPoint, SubstationModel, TwoBusCase, binding_limit
-from .twobus import ComplexPower
+from .twobus import ComplexPower, RotatedPower, unrotate
 
 # feasibility slack so points sitting exactly on a limit survive rounding
 _LIMIT_SLACK = 1e-9
+# one power flow per point; 31x the 401 x 801 acceptance grid
+_MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class SweepConfig:
     """Grid and constraints for one sweep.
 
     Ranges are (min, max, step) in per-unit.  Branch ampacities come from
-    the feeder model itself.
+    the feeder model itself.  Bad or oversized grids raise DomainError
+    before any point is allocated.
     """
 
     p_range: tuple[float, float, float]
@@ -37,10 +39,23 @@ class SweepConfig:
 
     def __post_init__(self):
         for lo, hi, step in (self.p_range, self.q_range):
+            if not all(map(math.isfinite, (lo, hi, step))):
+                raise DomainError(f"grid range and step must be finite: {(lo, hi, step)!r}")
             if step <= 0.0:
-                raise ValueError("grid step must be positive")
+                raise DomainError("grid step must be positive")
             if hi < lo:
-                raise ValueError("empty grid range")
+                raise DomainError("empty grid range")
+        # written so that NaN fails the check
+        if not self.v_plus > 0.0:
+            raise DomainError(f"voltage limit must be positive: {self.v_plus!r}")
+        if self.p_plus is not None and not math.isfinite(self.p_plus):
+            raise DomainError(f"substation power limit must be finite: {self.p_plus!r}")
+        try:
+            points = _grid_count(*self.p_range) * _grid_count(*self.q_range)
+        except OverflowError:  # (hi - lo) / step overflowed to inf
+            points = math.inf
+        if points > _MAX_GRID_POINTS:
+            raise DomainError(f"grid of {points} points exceeds the {_MAX_GRID_POINTS} cap")
 
     def p_values(self) -> list[float]:
         return _grid(*self.p_range)
@@ -49,9 +64,12 @@ class SweepConfig:
         return _grid(*self.q_range)
 
 
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    return math.floor((hi - lo) / step + 1e-9) + 1
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(count)]
+    return [lo + k * step for k in range(_grid_count(lo, hi, step))]
 
 
 @dataclass(frozen=True)
@@ -127,30 +145,18 @@ def best_reactive_point(model, bus, p, q_values, v_plus, p_plus):
     return best
 
 
-def _column(args):
-    model, bus, p, q_values, v_plus, p_plus = args
-    return best_reactive_point(model, bus, p, q_values, v_plus, p_plus)
-
-
-def run_sweep(
-    model: FeederModel,
-    bus: str,
-    config: SweepConfig,
-    workers: int | None = None,
-) -> SweepReport:
+def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
     """Sweep the grid, extract measured limits and score the predictions.
 
-    ``workers`` fans the independent grid columns out over processes; the
-    result is merged by grid index and does not depend on the worker count.
+    The two-bus equivalent comes first, so a bad bus fails before any
+    power flow runs.
     """
-    p_values = config.p_values()
+    case, sub = two_bus_equivalent(model, bus, v_plus=config.v_plus, p_plus=config.p_plus)
     q_values = config.q_values()
-    tasks = [(model, bus, p, q_values, config.v_plus, config.p_plus) for p in p_values]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_column, tasks, chunksize=8))
-    else:
-        columns = [_column(t) for t in tasks]
+    columns = (
+        best_reactive_point(model, bus, p, q_values, config.v_plus, config.p_plus)
+        for p in config.p_values()
+    )
     frontier = [pt for pt in columns if pt is not None]
     if not frontier:
         raise NoFeasiblePointError("no grid point satisfies all constraints")
@@ -158,7 +164,6 @@ def run_sweep(
     marginal_pt = max(frontier, key=lambda pt: pt.p0_sub)
     thermal_pt = max(frontier, key=lambda pt: pt.p_gen)
 
-    case, sub = two_bus_equivalent(model, bus, v_plus=config.v_plus, p_plus=config.p_plus)
     predicted = binding_limit(case)
     predicted_marginal = predicted.marginal
     predicted_thermal = predicted.thermal
@@ -234,8 +239,6 @@ def frontier_curves(report: SweepReport) -> list[dict]:
         raise NoFeasiblePointError("empty frontier")
     case = report.case
     s_load = report.substation.s_load
-    z = case.z
-    z_sq = z.r * z.r + z.x * z.x
     records = []
     for pt in report.frontier:
         est = locus_estimate(case, pt.p_gen - s_load.p)
@@ -244,7 +247,7 @@ def frontier_curves(report: SweepReport) -> list[dict]:
             q_est = math.nan
         else:
             p_t, q_t, i_est = est
-            q_est = (q_t * z.r + p_t * z.x) / z_sq + s_load.q
+            q_est = unrotate(RotatedPower(p_t, q_t), case.z).q + s_load.q
         records.append(
             {
                 "p_gen": pt.p_gen,

@@ -212,6 +212,21 @@ class TestSweepCommand:
         assert code == 1
         assert "no grid point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--p-step", "nan"), ("--p-max", "inf"), ("--p-step", "0")]
+    )
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = main(
+            [
+                "sweep",
+                "--v0", "1", "--r", "0.70711", "--x", "0.70711",
+                flag, value, "--out", str(tmp_path / "sweep.json"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -282,10 +297,11 @@ class TestDeterminism:
         assert raw == float(format(raw, ".12g"))
 
 
-def test_cli_import_does_not_load_numpy():
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "concurrent.futures"])
+def test_cli_import_does_not_load(module):
     src = os.path.dirname(os.path.dirname(feederlimits.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, feederlimits.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, feederlimits.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import feederlimits.feeder
 from feederlimits import bundled_feeder_path
 from feederlimits.errors import (
     ConvergenceError,
@@ -116,6 +117,11 @@ class TestSolveFeeder:
         with pytest.raises(DomainError):
             solve_feeder(three_bus_model(), {"zz": ComplexPower(0.1, 0.0)})
 
+    def test_injection_at_source_bus_rejected(self):
+        model = load_feeder(bundled_feeder_path())
+        with pytest.raises(DomainError, match="source bus '1'"):
+            solve_feeder(model, {model.source: ComplexPower(0.5, 0.1)})
+
     def test_generation_raises_voltage_along_path(self):
         res = solve_feeder(three_bus_model(), {"e": ComplexPower(0.5, 0.0)})
         assert abs(res.voltages["e"]) > abs(res.voltages["m"]) > abs(res.voltages["s"])
@@ -174,10 +180,11 @@ class TestSolveFeeder:
         with pytest.raises(ConvergenceError):
             solve_feeder(model, {"g": ComplexPower(-5.0, 0.0)})
 
-    def test_iteration_budget_respected(self):
+    def test_iteration_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(feederlimits.feeder, "_MAX_ITER", 2)
         model = single_branch_model(Impedance(0.01, 0.02), v0=1.0)
-        with pytest.raises(ConvergenceError):
-            solve_feeder(model, {"g": ComplexPower(0.5, 0.0)}, max_iter=2)
+        with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
+            solve_feeder(model, {"g": ComplexPower(0.5, 0.0)})
 
 
 class TestTheveninImpedance:

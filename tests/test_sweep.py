@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from feederlimits.errors import NoFeasiblePointError
-from feederlimits.feeder import single_branch_model, solve_feeder
+import feederlimits.sweep
+from feederlimits import bundled_feeder_path
+from feederlimits.errors import DomainError, NoFeasiblePointError
+from feederlimits.feeder import load_feeder, single_branch_model, solve_feeder
 from feederlimits.limits import TwoBusCase, marginal_transfer, thermal_limit
 from feederlimits.sweep import (
     FrontierPoint,
@@ -45,6 +47,42 @@ class TestSweepConfig:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             coarse_config(q_range=(1.0, 0.0, 0.1))
+
+    @pytest.mark.parametrize(
+        "p_range",
+        [(0.0, 1.0, math.nan), (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.inf)],
+    )
+    def test_non_finite_range_rejected(self, p_range):
+        with pytest.raises(DomainError, match="finite"):
+            coarse_config(p_range=p_range)
+
+    @pytest.mark.parametrize("v_plus", [0.0, -1.0, math.nan])
+    def test_nonpositive_voltage_limit_rejected(self, v_plus):
+        with pytest.raises(DomainError, match="voltage limit"):
+            coarse_config(v_plus=v_plus)
+
+    @pytest.mark.parametrize("p_plus", [math.nan, math.inf])
+    def test_non_finite_substation_limit_rejected(self, p_plus):
+        with pytest.raises(DomainError, match="substation power limit"):
+            coarse_config(p_plus=p_plus)
+
+    @pytest.mark.parametrize(
+        "p_range, q_range, count",
+        [
+            # 4001 x 8001 points, about 3.2 times the cap
+            ((0.0, 4.0, 0.001), (-4.0, 4.0, 0.001), "32012001"),
+            # (hi - lo) / step overflows a float
+            ((-1e308, 1e308, 1e-300), (-1.2, 0.4, 0.05), "inf"),
+        ],
+    )
+    def test_oversized_grid_rejected_with_its_count(self, p_range, q_range, count):
+        with pytest.raises(DomainError, match=f"grid of {count} points"):
+            coarse_config(p_range=p_range, q_range=q_range)
+
+    def test_grid_at_the_cap_accepted(self):
+        # 1000 x 10000 points, exactly the cap; only the short axis is built
+        config = coarse_config(p_range=(0.0, 999.0, 1.0), q_range=(0.0, 9999.0, 1.0))
+        assert len(config.p_values()) == 1000
 
 
 class TestImproves:
@@ -143,13 +181,15 @@ class TestRunSweep:
         with pytest.raises(NoFeasiblePointError):
             run_sweep(model, "g", coarse_config(v_plus=0.5))
 
-    def test_worker_pool_matches_serial(self):
-        model = single_branch_model(Z45, v0=1.0)
-        config = coarse_config(p_range=(0.0, 0.8, 0.1), q_range=(-0.8, 0.2, 0.1))
-        serial = run_sweep(model, "g", config)
-        parallel = run_sweep(model, "g", config, workers=2)
-        assert serial.frontier == parallel.frontier
-        assert serial.errors == parallel.errors
+    @pytest.mark.parametrize("bus", ["1", "zz"])
+    def test_bad_bus_fails_before_any_power_flow(self, monkeypatch, bus):
+        def no_power_flow(*args):
+            raise AssertionError("power flow ran before the bus was checked")
+
+        monkeypatch.setattr(feederlimits.sweep, "best_reactive_point", no_power_flow)
+        model = load_feeder(bundled_feeder_path())
+        with pytest.raises(DomainError):
+            run_sweep(model, bus, coarse_config())
 
     def test_feeder_load_shifts_measured_generation(self):
         load = ComplexPower(0.3, 0.1)
