@@ -33,14 +33,14 @@ print("two-bus equivalent at bus 12: |Z|=%.4f  R/X=%.3f  ampacity=%.2f"
 print()
 print("                      predicted    measured       error")
 print("marginal Pgen   %12.4f %11.4f %11.4f"
-      % (report.predicted_marginal.sg.p + report.substation.s_load.p,
+      % (report.predicted_marginal.sg.p + report.s_load.p,
          report.measured_pg_marginal, report.errors.pg_marginal))
 print("marginal P0     %12.4f %11.4f %11.4f"
       % (report.predicted_marginal.s0.p, report.measured_p0_marginal,
          report.errors.p0_marginal))
 if report.predicted_thermal is not None:
     print("thermal  Pgen   %12.4f %11.4f %11.4f"
-          % (report.predicted_thermal.sg.p + report.substation.s_load.p,
+          % (report.predicted_thermal.sg.p + report.s_load.p,
              report.measured_pg_thermal, report.errors.pg_thermal))
 
 print()

@@ -33,7 +33,6 @@ from .limits import (
     Limit,
     LimitReport,
     OperatingPoint,
-    SubstationModel,
     TwoBusCase,
     binding_limit,
     branch_of_marginal_point,

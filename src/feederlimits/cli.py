@@ -14,7 +14,7 @@ import sys
 
 from .errors import DomainError, FeederFileError, FeederLimitsError
 from .feeder import FeederModel, load_feeder, single_branch_model, two_bus_equivalent
-from .limits import OperatingPoint, TwoBusCase, binding_limit, marginal_limit, metrics
+from .limits import OperatingPoint, TwoBusCase, binding_limit, marginal_limit
 from .sweep import SweepConfig, frontier_curves, run_sweep
 from .twobus import Impedance, boundary_generation, upf_limit_generation
 
@@ -82,7 +82,6 @@ def case_dict(case: TwoBusCase) -> dict:
         "z_mag": case.z.magnitude(),
         "v_plus": case.v_plus,
         "i_plus": case.i_plus,
-        "p_plus": case.p_plus,
     }
 
 
@@ -109,9 +108,7 @@ def cmd_limits(args, parser) -> int:
     model, bus = _resolve_feeder(args, parser)
     if not args.feeder and args.i_plus is None:
         parser.error("--i-plus is required in inline mode")
-    case, sub = two_bus_equivalent(
-        model, bus, v_plus=args.v_plus, i_plus=args.i_plus, p_plus=args.p_plus
-    )
+    case, s_load = two_bus_equivalent(model, bus, v_plus=args.v_plus, i_plus=args.i_plus)
     limits = binding_limit(case)
     marginal, thermal = limits.marginal, limits.thermal
     binding, lam_prime = limits.binding.value, limits.lambda_prime
@@ -126,7 +123,7 @@ def cmd_limits(args, parser) -> int:
         if limits.thermal_error is not None:
             report["thermal_error"] = limits.thermal_error
         if args.feeder:
-            report["s_load"] = {"p": sub.s_load.p, "q": sub.s_load.q}
+            report["s_load"] = {"p": s_load.p, "q": s_load.q}
         text = render_json(report)
     else:
         fields = ["limit", "binding", "lambda_prime"] + list(point_dict(marginal))
@@ -162,7 +159,6 @@ def cmd_curves(args, parser) -> int:
         z = Impedance(z_mag * lam / scale, z_mag / scale)
         case = TwoBusCase(v0=args.v0, z=z, v_plus=args.v_plus, i_plus=1.0)
         point = marginal_limit(case)
-        efficiency, pf_gen, pf_sub = metrics(point.sg, point.s0)
         rows.append(
             {
                 "lambda": lam,
@@ -170,9 +166,9 @@ def cmd_curves(args, parser) -> int:
                 "pg_upf": upf_limit_generation(z, args.v0, args.v_plus),
                 "pg_bdry": boundary_generation(z, args.v0, args.v_plus),
                 "p0_marginal": point.s0.p,
-                "efficiency": efficiency,
-                "pf_gen": pf_gen,
-                "pf_sub": pf_sub,
+                "efficiency": point.efficiency,
+                "pf_gen": point.pf_gen,
+                "pf_sub": point.pf_sub,
             }
         )
     fields = list(rows[0])
@@ -211,8 +207,8 @@ def cmd_sweep(args, parser) -> int:
     }
     if args.format == "json":
         summary = {
-            "case": case_dict(report.case),
-            "s_load": {"p": report.substation.s_load.p, "q": report.substation.s_load.q},
+            "case": case_dict(report.case) | {"p_plus": config.p_plus},
+            "s_load": {"p": report.s_load.p, "q": report.s_load.q},
             "measured": measured,
             "predicted_marginal": point_dict(report.predicted_marginal),
             "predicted_thermal": (
@@ -236,10 +232,8 @@ def cmd_equivalent(args, parser) -> int:
     model = load_feeder(args.feeder)
     if args.bus == model.source:
         parser.error("the source bus has no two-bus equivalent")
-    case, sub = two_bus_equivalent(
-        model, args.bus, v_plus=args.v_plus, i_plus=args.i_plus, p_plus=args.p_plus
-    )
-    record = case_dict(case) | {"s_load_p": sub.s_load.p, "s_load_q": sub.s_load.q}
+    case, s_load = two_bus_equivalent(model, args.bus, v_plus=args.v_plus, i_plus=args.i_plus)
+    record = case_dict(case) | {"s_load_p": s_load.p, "s_load_q": s_load.q}
     if args.format == "json":
         text = render_json(record)
     else:
@@ -256,7 +250,6 @@ def _add_common(sub):
     sub.add_argument("--x", type=float, help="line reactance, pu")
     sub.add_argument("--v-plus", type=float, default=1.06, help="upper voltage limit, pu")
     sub.add_argument("--i-plus", type=float, help="current limit, pu")
-    sub.add_argument("--p-plus", type=float, help="substation real power limit, pu")
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", help="output path (default: stdout)")
 
@@ -291,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="brute-force grid validation of the predicted limits"
     )
     _add_common(p_sweep)
+    p_sweep.add_argument("--p-plus", type=float, help="substation real power limit, pu")
     p_sweep.add_argument("--p-min", type=float, default=0.0)
     p_sweep.add_argument("--p-max", type=float, default=4.0)
     p_sweep.add_argument("--p-step", type=float, default=0.01)
@@ -306,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--bus", required=True)
     p_equiv.add_argument("--v-plus", type=float, default=1.06)
     p_equiv.add_argument("--i-plus", type=float)
-    p_equiv.add_argument("--p-plus", type=float)
     p_equiv.add_argument("--format", choices=("csv", "json"), default="json")
     p_equiv.add_argument("--out")
     p_equiv.set_defaults(func=cmd_equivalent)

@@ -10,10 +10,12 @@ impedances on the source → bus path.
 from __future__ import annotations
 
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DomainError, FeederFileError, TopologyError
-from .limits import SubstationModel, TwoBusCase
+from .limits import TwoBusCase
 from .twobus import ComplexPower, Impedance
 
 # Voltage magnitudes outside this window mark a diverging sweep early.
@@ -41,17 +43,15 @@ class BranchSpec:
 class FeederModel:
     """Radial feeder: buses, series branches, constant-power loads, one source.
 
-    All electrical quantities are per-unit; s_base/v_base exist only so user
-    interfaces can annotate results in SI units.
+    All electrical quantities are per-unit.  ``loads`` is stored as a
+    read-only copy, so the validated model cannot change afterwards.
     """
 
     buses: tuple[str, ...]
     branches: tuple[BranchSpec, ...]
-    loads: dict[str, ComplexPower]
+    loads: Mapping[str, ComplexPower] = field(hash=False)
     source: str
     v0: float
-    s_base: float | None = None
-    v_base: float | None = None
 
     # BFS ordering caches, filled in __post_init__.
     _order: tuple[str, ...] = field(default=(), repr=False, compare=False)
@@ -59,6 +59,7 @@ class FeederModel:
     _order_branch: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "loads", types.MappingProxyType(dict(self.loads)))
         if not self.v0 > 0.0:
             raise DomainError(f"source voltage must be positive: {self.v0!r}")
         if self.source not in self.buses:
@@ -260,23 +261,18 @@ def thevenin_impedance(model: FeederModel, bus: str) -> Impedance:
 
 
 def two_bus_equivalent(
-    model: FeederModel,
-    bus: str,
-    v_plus: float,
-    i_plus: float | None = None,
-    p_plus: float | None = None,
-) -> tuple[TwoBusCase, SubstationModel]:
+    model: FeederModel, bus: str, v_plus: float, i_plus: float | None = None
+) -> tuple[TwoBusCase, ComplexPower]:
     """Collapse the feeder into a two-bus case for a generator at ``bus``.
 
     The current limit defaults to the smallest ampacity along the
-    source → bus path; the feeder load aggregates into the substation model.
+    source → bus path.  Returns the case and the total feeder load, which
+    the substation sees on top of the transferred power.
     """
     z = thevenin_impedance(model, bus)
     if i_plus is None:
         i_plus = min(br.ampacity for br in model.path_to(bus))
-    case = TwoBusCase(v0=model.v0, z=z, v_plus=v_plus, i_plus=i_plus, p_plus=p_plus)
-    sub = SubstationModel(s_load=model.total_load())
-    return case, sub
+    return TwoBusCase(v0=model.v0, z=z, v_plus=v_plus, i_plus=i_plus), model.total_load()
 
 
 def parse_feeder(text: str, name: str = "<string>") -> FeederModel:
@@ -292,8 +288,6 @@ def parse_feeder(text: str, name: str = "<string>") -> FeederModel:
     loads: dict[str, ComplexPower] = {}
     source = None
     v0 = None
-    s_base = None
-    v_base = None
     known = {"base", "bus", "source", "branch", "load"}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -314,15 +308,12 @@ def parse_feeder(text: str, name: str = "<string>") -> FeederModel:
         tokens = line.split()
         try:
             if section == "base":
+                # base quantities are checked but not stored: values are per-unit
                 if len(tokens) != 2:
                     raise ValueError("expected: <s_base|v_base> <value>")
-                key, value = tokens[0].lower(), float(tokens[1])
-                if key == "s_base":
-                    s_base = value
-                elif key == "v_base":
-                    v_base = value
-                else:
+                if tokens[0].lower() not in ("s_base", "v_base"):
                     raise ValueError(f"unknown base quantity {tokens[0]!r}")
+                float(tokens[1])
             elif section == "bus":
                 if len(tokens) != 1:
                     raise ValueError("expected: <bus id>")
@@ -361,8 +352,6 @@ def parse_feeder(text: str, name: str = "<string>") -> FeederModel:
         loads=loads,
         source=source,
         v0=v0,
-        s_base=s_base,
-        v_base=v_base,
     )
 
 

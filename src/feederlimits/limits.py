@@ -34,15 +34,12 @@ class TwoBusCase:
     z: series line impedance.
     v_plus: upper voltage limit at the generator bus.
     i_plus: line current limit (ampacity).
-    p_plus: optional substation real-power limit; enforced only by the
-        sweep/feeder validation path, not by the closed-form limits.
     """
 
     v0: float
     z: Impedance
     v_plus: float
     i_plus: float
-    p_plus: float | None = None
 
     def __post_init__(self):
         # written so that NaN fails every comparison
@@ -82,13 +79,6 @@ class LimitReport:
     binding: Limit
     lambda_prime: float
     thermal_error: str | None
-
-
-@dataclass(frozen=True)
-class SubstationModel:
-    """Aggregated feeder load seen through the substation."""
-
-    s_load: ComplexPower
 
 
 def metrics(sg: ComplexPower, s0: ComplexPower) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, NoFeasiblePointError
 from .feeder import FeederModel, solve_feeder, two_bus_equivalent
-from .limits import OperatingPoint, SubstationModel, TwoBusCase, binding_limit
+from .limits import OperatingPoint, TwoBusCase, binding_limit
 from .twobus import ComplexPower, RotatedPower, unrotate
 
 # feasibility slack so points sitting exactly on a limit survive rounding
@@ -99,7 +99,7 @@ class SweepReport:
     measured_pg_thermal: float
     measured_p0_thermal: float
     case: TwoBusCase
-    substation: SubstationModel
+    s_load: ComplexPower
     predicted_marginal: OperatingPoint
     predicted_thermal: OperatingPoint | None
     errors: SweepErrors
@@ -151,7 +151,7 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
     The two-bus equivalent comes first, so a bad bus fails before any
     power flow runs.
     """
-    case, sub = two_bus_equivalent(model, bus, v_plus=config.v_plus, p_plus=config.p_plus)
+    case, s_load = two_bus_equivalent(model, bus, v_plus=config.v_plus)
     q_values = config.q_values()
     columns = (
         best_reactive_point(model, bus, p, q_values, config.v_plus, config.p_plus)
@@ -168,7 +168,7 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
     predicted_marginal = predicted.marginal
     predicted_thermal = predicted.thermal
 
-    p_load = sub.s_load.p
+    p_load = s_load.p
     errors = SweepErrors(
         pg_marginal=(predicted_marginal.sg.p + p_load) - marginal_pt.p_gen,
         p0_marginal=predicted_marginal.s0.p - marginal_pt.p0_sub,
@@ -190,7 +190,7 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
         measured_pg_thermal=thermal_pt.p_gen,
         measured_p0_thermal=thermal_pt.p0_sub,
         case=case,
-        substation=sub,
+        s_load=s_load,
         predicted_marginal=predicted_marginal,
         predicted_thermal=predicted_thermal,
         errors=errors,
@@ -238,7 +238,7 @@ def frontier_curves(report: SweepReport) -> list[dict]:
     if not report.frontier:
         raise NoFeasiblePointError("empty frontier")
     case = report.case
-    s_load = report.substation.s_load
+    s_load = report.s_load
     records = []
     for pt in report.frontier:
         est = locus_estimate(case, pt.p_gen - s_load.p)

@@ -159,7 +159,7 @@ def test_criterion_5_bundled_feeder_reproduction():
 
     # above activation, a locally refined reactive sweep lands on the
     # voltage-limit locus estimate to sub-milli-pu accuracy
-    s_load = report.substation.s_load
+    s_load = report.s_load
     for p_gen in (2.2, 2.6):
         est = locus_estimate(report.case, p_gen - s_load.p)
         assert est is not None

@@ -227,6 +227,22 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "sweep.json").exists()
 
+    def test_substation_limit_is_enforced_and_echoed(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        code = main(
+            [
+                "sweep",
+                "--v0", "1", "--r", "0.70711", "--x", "0.70711", "--i-plus", "0.9",
+                "--p-min", "0", "--p-max", "1.0", "--p-step", "0.05",
+                "--q-min", "-1.0", "--q-max", "0.2", "--q-step", "0.05",
+                "--p-plus", "0.3", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        summary = json.loads(out.read_text())
+        assert summary["case"]["p_plus"] == 0.3
+        assert summary["measured"]["p0_marginal"] <= 0.3
+
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -273,6 +289,22 @@ class TestEquivalentCommand:
         with pytest.raises(SystemExit) as err:
             main(["equivalent", "--feeder", FEEDER, "--bus", "1"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limits", "--v0", "1", "--r", "0.5", "--x", "0.5", "--i-plus", "1",
+         "--p-plus", "0.01"],
+        ["equivalent", "--feeder", FEEDER, "--bus", "12", "--p-plus", "3"],
+    ],
+    ids=["limits", "equivalent"],
+)
+def test_substation_limit_is_sweep_only(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--p-plus" in capsys.readouterr().err
 
 
 class TestDeterminism:

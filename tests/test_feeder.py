@@ -81,6 +81,31 @@ class TestModelValidation:
                 v0=1.0,
             )
 
+    def test_model_is_hashable(self):
+        a = load_feeder(bundled_feeder_path())
+        b = load_feeder(bundled_feeder_path())
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_loads_are_read_only(self):
+        model = load_feeder(bundled_feeder_path())
+        with pytest.raises(TypeError):
+            model.loads["nope"] = ComplexPower(5.0, 0.0)
+
+    def test_caller_dict_mutation_does_not_reach_model(self):
+        loads = {"m": ComplexPower(0.1, 0.0)}
+        model = FeederModel(
+            buses=("s", "m"),
+            branches=(BranchSpec("s", "m", Impedance(0.02, 0.04), 2.0),),
+            loads=loads,
+            source="s",
+            v0=1.0,
+        )
+        loads["m"] = ComplexPower(5.0, 0.0)
+        loads["nope"] = ComplexPower(5.0, 0.0)
+        assert dict(model.loads) == {"m": ComplexPower(0.1, 0.0)}
+        assert model.total_load() == ComplexPower(0.1, 0.0)
+
     def test_nan_source_voltage_rejected(self):
         with pytest.raises(DomainError):
             single_branch_model(Impedance(0.1, 0.1), v0=math.nan)
@@ -243,12 +268,12 @@ class TestTheveninImpedance:
 class TestTwoBusEquivalent:
     def test_bundled_feeder_end_bus(self):
         model = load_feeder(bundled_feeder_path())
-        case, sub = two_bus_equivalent(model, "12", v_plus=1.06)
+        case, s_load = two_bus_equivalent(model, "12", v_plus=1.06)
         assert case.v0 == pytest.approx(1.05)
         assert case.z.magnitude() == pytest.approx(0.203, abs=1e-3)
         assert case.z.lam() == pytest.approx(1.85, abs=0.01)
         assert case.i_plus == pytest.approx(3.0)
-        assert sub.s_load.p == pytest.approx(0.576)
+        assert s_load.p == pytest.approx(0.576)
 
     def test_ampacity_is_path_minimum(self):
         model = load_feeder(bundled_feeder_path())
@@ -257,10 +282,9 @@ class TestTwoBusEquivalent:
 
     def test_explicit_limits_override_defaults(self):
         model = three_bus_model()
-        case, sub = two_bus_equivalent(model, "e", v_plus=1.1, i_plus=0.5, p_plus=2.0)
+        case, s_load = two_bus_equivalent(model, "e", v_plus=1.1, i_plus=0.5)
         assert case.i_plus == 0.5
-        assert case.p_plus == 2.0
-        assert sub.s_load == ComplexPower(0.0, 0.0)
+        assert s_load == ComplexPower(0.0, 0.0)
 
 
 FEEDER_TEXT = """
@@ -289,8 +313,6 @@ class TestParser:
         assert model.buses == ("a", "b")
         assert model.source == "a"
         assert model.v0 == 1.02
-        assert model.s_base == 1.0e6
-        assert model.v_base == 400.0
         br = model.branches[0]
         assert (br.from_bus, br.to_bus, br.ampacity) == ("a", "b", 1.5)
         assert br.z == Impedance(0.05, 0.10)
@@ -324,6 +346,15 @@ class TestParser:
         text = FEEDER_TEXT + "b 0.1 0.0\n"
         with pytest.raises(FeederFileError, match="duplicate load"):
             parse_feeder(text)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("s_base abc", "could not convert"), ("foo 1", "unknown base quantity"),
+         ("v_base", "expected")],
+    )
+    def test_bad_base_line_reports_line_number(self, line, message):
+        with pytest.raises(FeederFileError, match=f":3: {message}"):
+            parse_feeder(f"[base]\ns_base 1.0\n{line}\n[bus]\na\n[source]\na 1.0\n")
 
     def test_malformed_branch_reports_line_number(self):
         with pytest.raises(FeederFileError, match=":2:"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feederlimits.errors import DegenerateImpedanceError, DomainError, ThermalLimitError
 from feederlimits.limits import (
@@ -211,6 +213,31 @@ class TestBindingLimit:
     def test_report_carries_crossover_ratio(self):
         report = binding_limit(UNIT_CASE)
         assert report.lambda_prime == pytest.approx(lambda_prime(1.0, 1.06))
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(
+        lam=st.floats(0.05, 20.0),
+        z_mag=st.floats(0.05, 2.0),
+        v_plus=st.floats(1.0, 1.1),
+        i_plus=st.floats(0.05, 5.0),
+    )
+    def test_limit_points_sit_on_their_limits(self, lam, z_mag, v_plus, i_plus):
+        report = binding_limit(case_with(lam, z_mag=z_mag, v_plus=v_plus, i_plus=i_plus))
+        assert report.marginal.vg == pytest.approx(v_plus, abs=1e-9)
+        assert (report.thermal is None) == (report.thermal_error is not None)
+        p_gen = [report.marginal.sg.p]
+        if report.thermal is not None:
+            # Where I+·|Z| = V+ the thermal point is a double root on the
+            # solution boundary, and re-solving it from rounded rotated powers
+            # keeps half the digits: errors reach 6e-8 there and fall below
+            # 1e-9 a relative 1e-6 away.
+            on_boundary = abs(i_plus * z_mag - v_plus) < 1e-5 * v_plus
+            tol = 2e-7 if on_boundary else 1e-9
+            assert report.thermal.current == pytest.approx(i_plus, abs=tol)
+            assert report.thermal.vg == pytest.approx(v_plus, abs=tol)
+            p_gen.append(report.thermal.sg.p)
+        binding = report.marginal if report.binding is Limit.MARGINAL else report.thermal
+        assert binding.sg.p == min(p_gen)
 
 
 class TestMetrics:
