@@ -35,7 +35,6 @@ from .limits import (
     OperatingPoint,
     TwoBusCase,
     binding_limit,
-    branch_of_marginal_point,
     lambda_prime,
     marginal_limit,
     marginal_transfer,

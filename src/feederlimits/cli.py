@@ -28,8 +28,9 @@ def _fmt(value) -> str:
 
 
 def _round12(obj):
+    """Round floats to 12 significant digits; non-finite ones become None."""
     if isinstance(obj, float):
-        return float(format(obj, ".12g")) if math.isfinite(obj) else obj
+        return float(format(obj, ".12g")) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -46,7 +47,7 @@ def _write(text: str, out: str | None):
 
 
 def render_json(obj) -> str:
-    return json.dumps(_round12(obj), indent=2) + "\n"
+    return json.dumps(_round12(obj), indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(rows: list[dict], fieldnames: list[str]) -> str:
@@ -315,15 +316,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except FeederFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FeederLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # bad input is a usage error; anything else failed at run time
+        return 2 if isinstance(exc, (FeederFileError, DomainError)) else 1
 
 
 if __name__ == "__main__":

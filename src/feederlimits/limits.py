@@ -6,6 +6,11 @@ voltage rides its upper bound.  The marginal limit is the point past which
 incremental losses outgrow incremental generation, so the net transferred
 power falls even though more is being generated.  The binding limit is the
 smaller of the two generated powers.
+
+Both limit points lie on the |Vg| = V+ locus, so each is set exactly there
+rather than re-solved: |Vg| = V+, rotated losses V0² + 2·P̃ − V+², and the
+high-voltage branch exactly when V+² ≥ P̃ + V0²/2, which at the marginal
+point means λ ≥ λ′.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .twobus import (
     Impedance,
     RotatedPower,
     _require_line,
-    solve,
     unrotate,
 )
 
@@ -95,21 +99,23 @@ def metrics(sg: ComplexPower, s0: ComplexPower) -> tuple[float, float, float]:
 
 
 def operating_point(sg_t: RotatedPower, case: TwoBusCase) -> OperatingPoint:
-    """Resolve a rotated injection into a full operating point.
+    """Operating point of a rotated injection on the |Vg| = V+ locus.
 
-    The solution branch is chosen as the one whose voltage lands on (or
-    nearest to) the case's voltage limit, since limit points live on the
-    |Vg| = V+ locus on either branch.
+    The injection must lie on the locus, as both limit points do by
+    construction.  There the rotated losses follow from the rotated real
+    power alone, V0² + 2·P̃ − V+², and the point is on the high-voltage
+    branch exactly when V+² ≥ P̃ + V0²/2 (for the marginal point, when
+    λ ≥ λ′).
     """
     z = case.z
     z_mag = z.magnitude()
-    target = case.v_plus**2
-    best = None
-    for branch in (Branch.HIGH_VOLTAGE, Branch.LOW_VOLTAGE):
-        sol = solve(sg_t, case.v0, branch)
-        if best is None or abs(sol.vg_sq - target) < abs(best.vg_sq - target):
-            best = sol
-    losses_t = max(best.losses_t, 0.0)
+    v_plus_sq = case.v_plus**2
+    v0_sq = case.v0**2
+    losses_t = max(v0_sq + 2.0 * sg_t.p_t - v_plus_sq, 0.0)
+    if v_plus_sq >= sg_t.p_t + v0_sq / 2.0:
+        branch = Branch.HIGH_VOLTAGE
+    else:
+        branch = Branch.LOW_VOLTAGE
     sg = unrotate(sg_t, z)
     losses = ComplexPower(
         losses_t * z.r / z_mag**2, losses_t * z.x / z_mag**2
@@ -119,13 +125,13 @@ def operating_point(sg_t: RotatedPower, case: TwoBusCase) -> OperatingPoint:
     return OperatingPoint(
         sg=sg,
         s0=s0,
-        vg=math.sqrt(max(best.vg_sq, 0.0)),
+        vg=case.v_plus,
         current=math.sqrt(losses_t) / z_mag,
         losses=losses,
         efficiency=efficiency,
         pf_gen=pf_gen,
         pf_sub=pf_sub,
-        branch=best.branch,
+        branch=branch,
     )
 
 
@@ -184,16 +190,6 @@ def lambda_prime(v0: float, v_plus: float) -> float:
     if denom <= 0.0:
         raise DomainError("lambda_prime undefined: 4*v_plus^2 <= v0^2")
     return v0 / math.sqrt(denom)
-
-
-def branch_of_marginal_point(case: TwoBusCase) -> Branch:
-    """Solution branch on which the marginal limit point lies.
-
-    Ties at the crossover ratio classify as high-voltage.
-    """
-    if case.z.lam() < lambda_prime(case.v0, case.v_plus):
-        return Branch.LOW_VOLTAGE
-    return Branch.HIGH_VOLTAGE
 
 
 def binding_limit(case: TwoBusCase) -> LimitReport:

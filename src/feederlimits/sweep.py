@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, NoFeasiblePointError
 from .feeder import FeederModel, solve_feeder, two_bus_equivalent
-from .limits import OperatingPoint, TwoBusCase, binding_limit
-from .twobus import ComplexPower, RotatedPower, unrotate
+from .limits import OperatingPoint, TwoBusCase, binding_limit, operating_point
+from .twobus import ComplexPower, RotatedPower
 
 # feasibility slack so points sitting exactly on a limit survive rounding
 _LIMIT_SLACK = 1e-9
@@ -197,16 +197,15 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
     )
 
 
-def locus_estimate(case: TwoBusCase, pg_net: float) -> tuple[float, float, float] | None:
-    """Closed-form (rotated P, rotated Q, current) on the |Vg| = V+ locus.
+def locus_estimate(case: TwoBusCase, pg_net: float) -> OperatingPoint | None:
+    """Closed-form operating point on the |Vg| = V+ locus at a net generation.
 
-    Given the net real generation, solves for the reactive power that pins
-    the generator voltage at the limit, choosing the lower-loss root.
-    Returns None when the locus is unreachable at this generation.
+    Solves for the reactive power that pins the generator voltage at the
+    limit, choosing the lower-loss root.  Returns None when the locus is
+    unreachable at this generation.
     """
     z = case.z
     z_sq = z.r * z.r + z.x * z.x
-    z_mag = math.sqrt(z_sq)
     w = case.v_plus**2
     v0_sq = case.v0**2
     if z.r == 0.0:
@@ -222,10 +221,7 @@ def locus_estimate(case: TwoBusCase, pg_net: float) -> tuple[float, float, float
             return None
         q_t = (-z.x * (c - z.r * w) - z.r * math.sqrt(disc)) / z_sq
         p_t = (c + z.x * q_t) / z.r
-    losses_t = v0_sq + 2.0 * p_t - w
-    if losses_t < 0.0:
-        losses_t = 0.0
-    return p_t, q_t, math.sqrt(losses_t) / z_mag
+    return operating_point(RotatedPower(p_t, q_t), case)
 
 
 def frontier_curves(report: SweepReport) -> list[dict]:
@@ -246,8 +242,8 @@ def frontier_curves(report: SweepReport) -> list[dict]:
             i_est = math.nan
             q_est = math.nan
         else:
-            p_t, q_t, i_est = est
-            q_est = unrotate(RotatedPower(p_t, q_t), case.z).q + s_load.q
+            i_est = est.current
+            q_est = est.sg.q + s_load.q
         records.append(
             {
                 "p_gen": pt.p_gen,

@@ -163,7 +163,7 @@ def test_criterion_5_bundled_feeder_reproduction():
     for p_gen in (2.2, 2.6):
         est = locus_estimate(report.case, p_gen - s_load.p)
         assert est is not None
-        q_est = unrotate(RotatedPower(est[0], est[1]), report.case.z).q + s_load.q
+        q_est = est.sg.q + s_load.q
         q_values = [q_est - 0.02 + 2.5e-4 * k for k in range(161)]
         pt = best_reactive_point(model, "12", p_gen, q_values, 1.06, None)
         assert pt is not None

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,23 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import feederlimits
-from feederlimits import bundled_feeder_path
+from feederlimits import bundled_feeder_path, cli
 from feederlimits.cli import main
+from feederlimits.errors import (
+    ConvergenceError,
+    DegenerateImpedanceError,
+    DomainError,
+    FeederFileError,
+    FeederLimitsError,
+    NoFeasiblePointError,
+    NoSolutionError,
+    ThermalLimitError,
+    TopologyError,
+)
 
 FEEDER = str(bundled_feeder_path())
 
@@ -305,6 +320,74 @@ def test_substation_limit_is_sweep_only(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "--p-plus" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["limits", "--v0", "1", "--r", "1", "--x", "0", "--i-plus", "1"], ["case", "lambda"]),
+        (["limits", "--v0", "1", "--r", "0.5", "--x", "0.5", "--i-plus", "inf"],
+         ["case", "i_plus"]),
+        (["sweep", "--v0", "1", "--r", "0.70711", "--x", "0.70711",
+          "--p-min", "0", "--p-max", "1.0", "--p-step", "0.1",
+          "--q-min", "-1.0", "--q-max", "0.2", "--q-step", "0.1"], ["case", "i_plus"]),
+        (["curves", "--format", "json", "--lambda-max", "0.02"], [0, "pg_upf"]),
+    ],
+    ids=["resistive-lambda", "unbounded-ampacity", "inline-sweep", "curves-no-upf-point"],
+)
+def test_json_output_is_valid(argv, path, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    record = json.loads(out.read_text(), parse_constant=_reject_constant)
+    for key in path:
+        record = record[key]
+    assert record is None
+
+
+def _error_classes(base=FeederLimitsError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+# input errors are usage errors (2); anything else failed at run time (1)
+EXIT_CODES = {
+    DegenerateImpedanceError: 1,
+    NoSolutionError: 1,
+    DomainError: 2,
+    ThermalLimitError: 1,
+    ConvergenceError: 1,
+    TopologyError: 1,
+    FeederFileError: 2,
+    NoFeasiblePointError: 1,
+}
+COMMANDS = {
+    "cmd_limits": ["limits", "--v0", "1", "--r", "0.5", "--x", "0.5", "--i-plus", "1"],
+    "cmd_curves": ["curves"],
+    "cmd_sweep": ["sweep", "--v0", "1", "--r", "0.5", "--x", "0.5"],
+    "cmd_equivalent": ["equivalent", "--feeder", FEEDER, "--bus", "12"],
+}
+
+
+@settings(derandomize=True, database=None, max_examples=50)
+@given(
+    error=st.sampled_from(sorted(_error_classes(), key=lambda cls: cls.__name__)),
+    command=st.sampled_from(sorted(COMMANDS)),
+)
+def test_error_maps_to_exit_code(error, command):
+    def fail(args, parser):
+        raise error("boom")
+
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(stderr):
+        mp.setattr(cli, command, fail)
+        code = main(COMMANDS[command])
+    assert code == EXIT_CODES[error]
+    assert stderr.getvalue() == "error: boom\n"
 
 
 class TestDeterminism:

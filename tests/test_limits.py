@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from feederlimits.errors import DegenerateImpedanceError, DomainError, ThermalLimitError
@@ -12,16 +12,14 @@ from feederlimits.limits import (
     Limit,
     TwoBusCase,
     binding_limit,
-    branch_of_marginal_point,
     lambda_prime,
     marginal_limit,
     marginal_transfer,
     metrics,
-    operating_point,
     thermal_limit,
     thermal_rotated_roots,
 )
-from feederlimits.twobus import Branch, ComplexPower, Impedance, RotatedPower, rotate
+from feederlimits.twobus import Branch, ComplexPower, Impedance, rotate, solve
 
 SQ2 = math.sqrt(2.0)
 UNIT_CASE = TwoBusCase(
@@ -168,20 +166,38 @@ class TestLambdaPrime:
 
 class TestBranchOfMarginalPoint:
     def test_inductive_line_is_high_voltage(self):
-        assert branch_of_marginal_point(case_with(1.0)) is Branch.HIGH_VOLTAGE
+        assert marginal_limit(case_with(1.0)).branch is Branch.HIGH_VOLTAGE
 
     def test_resistive_dominated_line_is_low_voltage(self):
-        assert branch_of_marginal_point(case_with(0.3)) is Branch.LOW_VOLTAGE
+        assert marginal_limit(case_with(0.3)).branch is Branch.LOW_VOLTAGE
 
     def test_crossover_tie_classifies_high(self):
         lam_c = lambda_prime(1.0, 1.06)
         case = TwoBusCase(v0=1.0, z=Impedance(lam_c, 1.0), v_plus=1.06, i_plus=1.0)
-        assert branch_of_marginal_point(case) is Branch.HIGH_VOLTAGE
+        assert marginal_limit(case).branch is Branch.HIGH_VOLTAGE
 
-    def test_agrees_with_solved_branch(self):
-        for lam in (0.1, 0.3, 0.5, 0.6, 1.0, 5.0):
-            case = case_with(lam)
-            assert marginal_limit(case).branch is branch_of_marginal_point(case)
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(
+        lam=st.floats(0.05, 20.0),
+        z_mag=st.floats(0.05, 2.0),
+        v_plus=st.floats(1.0, 1.1),
+        i_plus=st.floats(0.05, 5.0),
+    )
+    def test_agrees_with_solved_branch(self, lam, z_mag, v_plus, i_plus):
+        # away from the double roots, re-solving each limit point on the
+        # branch it names lands on the same |Vg|² and rotated losses
+        lam_c = lambda_prime(1.0, v_plus)
+        assume(abs(i_plus * z_mag - v_plus) >= 1e-6 * v_plus)
+        assume(abs(lam - lam_c) >= 1e-6 * lam_c)
+        case = case_with(lam, z_mag=z_mag, v_plus=v_plus, i_plus=i_plus)
+        report = binding_limit(case)
+        points = [report.marginal]
+        if report.thermal is not None:
+            points.append(report.thermal)
+        for point in points:
+            sol = solve(rotate(point.sg, case.z), case.v0, point.branch)
+            assert point.vg**2 == pytest.approx(sol.vg_sq, abs=1e-9)
+            assert (point.current * z_mag) ** 2 == pytest.approx(sol.losses_t, abs=1e-9)
 
 
 class TestBindingLimit:
@@ -227,14 +243,8 @@ class TestBindingLimit:
         assert (report.thermal is None) == (report.thermal_error is not None)
         p_gen = [report.marginal.sg.p]
         if report.thermal is not None:
-            # Where I+·|Z| = V+ the thermal point is a double root on the
-            # solution boundary, and re-solving it from rounded rotated powers
-            # keeps half the digits: errors reach 6e-8 there and fall below
-            # 1e-9 a relative 1e-6 away.
-            on_boundary = abs(i_plus * z_mag - v_plus) < 1e-5 * v_plus
-            tol = 2e-7 if on_boundary else 1e-9
-            assert report.thermal.current == pytest.approx(i_plus, abs=tol)
-            assert report.thermal.vg == pytest.approx(v_plus, abs=tol)
+            assert report.thermal.current == pytest.approx(i_plus, abs=1e-9)
+            assert report.thermal.vg == pytest.approx(v_plus, abs=1e-9)
             p_gen.append(report.thermal.sg.p)
         binding = report.marginal if report.binding is Limit.MARGINAL else report.thermal
         assert binding.sg.p == min(p_gen)
@@ -276,12 +286,12 @@ class TestOperatingPoint:
         assert point.vg == pytest.approx(1.06, abs=1e-9)
 
     def test_power_balance(self):
-        point = operating_point(RotatedPower(0.2, -0.4), UNIT_CASE)
+        point = marginal_limit(UNIT_CASE)
         assert point.s0.p == pytest.approx(point.sg.p - point.losses.p, abs=1e-12)
         assert point.s0.q == pytest.approx(point.sg.q - point.losses.q, abs=1e-12)
 
     def test_loss_split_follows_impedance_angle(self):
-        point = operating_point(RotatedPower(0.2, -0.4), UNIT_CASE)
+        point = marginal_limit(UNIT_CASE)
         assert point.losses.p == pytest.approx(point.losses.q, abs=1e-12)
 
 

@@ -18,7 +18,7 @@ from feederlimits.sweep import (
     locus_estimate,
     run_sweep,
 )
-from feederlimits.twobus import ComplexPower, Impedance, RotatedPower, unrotate
+from feederlimits.twobus import ComplexPower, Impedance
 
 SQ2 = math.sqrt(2.0)
 Z45 = Impedance(1.0 / SQ2, 1.0 / SQ2)
@@ -211,8 +211,7 @@ class TestLocusEstimate:
         case = TwoBusCase(v0=1.0, z=Z45, v_plus=1.06, i_plus=10.0)
         est = locus_estimate(case, 0.6)
         assert est is not None
-        p_t, q_t, current = est
-        sg = unrotate(RotatedPower(p_t, q_t), case.z)
+        sg, current = est.sg, est.current
         assert sg.p == pytest.approx(0.6, abs=1e-10)
         model = single_branch_model(case.z, v0=1.0)
         res = solve_feeder(model, {"g": sg})
@@ -223,8 +222,7 @@ class TestLocusEstimate:
         case = TwoBusCase(v0=1.0, z=Impedance(0.0, 0.5), v_plus=1.06, i_plus=10.0)
         est = locus_estimate(case, 0.8)
         assert est is not None
-        p_t, q_t, _ = est
-        sg = unrotate(RotatedPower(p_t, q_t), case.z)
+        sg = est.sg
         assert sg.p == pytest.approx(0.8, abs=1e-10)
         model = single_branch_model(case.z, v0=1.0)
         res = solve_feeder(model, {"g": sg})

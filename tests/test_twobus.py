@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from feederlimits.errors import DegenerateImpedanceError, DomainError, NoSolutionError
 from feederlimits.twobus import (
@@ -25,6 +27,8 @@ from feederlimits.twobus import (
 )
 
 Z45 = Impedance(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))  # |Z| = 1, R/X = 1
+# finite values kept clear of underflow, so relative rounding bounds hold
+NORMAL_FLOATS = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
 
 
 def random_feasible_cases(n, seed, margin=0.02):
@@ -107,6 +111,22 @@ class TestUnrotate:
             back = unrotate(rotate(s, z), z)
             assert abs(back.p - s.p) < 1e-12
             assert abs(back.q - s.q) < 1e-12
+
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        p=NORMAL_FLOATS,
+        q=NORMAL_FLOATS,
+        r=NORMAL_FLOATS.map(abs),
+        x=NORMAL_FLOATS.map(abs),
+    )
+    def test_round_trip_property(self, p, q, r, x):
+        z = Impedance(r, x)
+        assume(z.magnitude() > 1e-6)
+        s = ComplexPower(p, q)
+        back = unrotate(rotate(s, z), z)
+        assert abs(back.p - p) <= 1e-12 * s.magnitude()
+        assert abs(back.q - q) <= 1e-12 * s.magnitude()
 
 
 class TestSolve:
