@@ -50,7 +50,9 @@ def render_json(obj) -> str:
     return json.dumps(_round12(obj), indent=2, allow_nan=False) + "\n"
 
 
-def render_csv(rows: list[dict], fieldnames: list[str]) -> str:
+def render_csv(rows: list[dict]) -> str:
+    """Header from the first row's keys, then one line per row."""
+    fieldnames = list(rows[0])
     lines = [",".join(fieldnames)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(name)) for name in fieldnames))
@@ -127,7 +129,6 @@ def cmd_limits(args, parser) -> int:
             report["s_load"] = {"p": s_load.p, "q": s_load.q}
         text = render_json(report)
     else:
-        fields = ["limit", "binding", "lambda_prime"] + list(point_dict(marginal))
         rows = [
             {"limit": "marginal", "binding": binding, "lambda_prime": lam_prime}
             | point_dict(marginal)
@@ -137,7 +138,7 @@ def cmd_limits(args, parser) -> int:
                 {"limit": "thermal", "binding": binding, "lambda_prime": lam_prime}
                 | point_dict(thermal)
             )
-        text = render_csv(rows, fields)
+        text = render_csv(rows)
     _write(text, args.out)
     return 0
 
@@ -172,8 +173,7 @@ def cmd_curves(args, parser) -> int:
                 "pf_sub": point.pf_sub,
             }
         )
-    fields = list(rows[0])
-    text = render_json(rows) if args.format == "json" else render_csv(rows, fields)
+    text = render_json(rows) if args.format == "json" else render_csv(rows)
     _write(text, args.out)
     return 0
 
@@ -222,23 +222,21 @@ def cmd_sweep(args, parser) -> int:
         text = render_json(summary)
     else:
         row = measured | errors
-        text = render_csv([row], list(row))
+        text = render_csv([row])
     _write(text, args.out)
     curves = frontier_curves(report)
-    _write(render_csv(curves, list(curves[0])), _frontier_path(args.out))
+    _write(render_csv(curves), _frontier_path(args.out))
     return 0
 
 
 def cmd_equivalent(args, parser) -> int:
     model = load_feeder(args.feeder)
-    if args.bus == model.source:
-        parser.error("the source bus has no two-bus equivalent")
     case, s_load = two_bus_equivalent(model, args.bus, v_plus=args.v_plus, i_plus=args.i_plus)
     record = case_dict(case) | {"s_load_p": s_load.p, "s_load_q": s_load.q}
     if args.format == "json":
         text = render_json(record)
     else:
-        text = render_csv([record], list(record))
+        text = render_csv([record])
     _write(text, args.out)
     return 0
 

@@ -128,12 +128,12 @@ class FeederModel:
 
 @dataclass(frozen=True)
 class PowerFlowResult:
+    """Bus voltages, (from, to) current magnitudes, power into the source, sweeps."""
+
     voltages: dict[str, complex]
     branch_currents: dict[tuple[str, str], float]
-    total_losses: ComplexPower
     s0_sub: ComplexPower
     iterations: int
-    max_mismatch: float
 
 
 def solve_feeder(
@@ -174,7 +174,6 @@ def solve_feeder(
 
     v0 = complex(model.v0, 0.0)
     volt = [v0] * n
-    currents = [0j] * n
     iterations = 0
     delta = math.inf
     checkpoint = math.inf
@@ -217,33 +216,16 @@ def solve_feeder(
         )
 
     branch_currents: dict[tuple[str, str], float] = {}
-    losses = 0j
     for k in range(1, n):
         br = model.branches[model._order_branch[k]]
-        mag = abs(currents[k])
-        branch_currents[(br.from_bus, br.to_bus)] = mag
-        losses += zc[k] * mag * mag
-    source_out = sum(currents[k] for k in range(1, n) if parent[k] == 0)
-    s0 = v0 * (-source_out).conjugate()
-
-    # nodal power mismatch check at non-source buses
-    child_flow = [0j] * n
-    for k in range(n - 1, 0, -1):
-        child_flow[parent[k]] += currents[k]
-    max_mismatch = 0.0
-    for k in range(1, n):
-        s_absorbed = volt[k] * (currents[k] - child_flow[k]).conjugate()
-        m = abs(s_absorbed - cons[k])
-        if m > max_mismatch:
-            max_mismatch = m
-
+        branch_currents[(br.from_bus, br.to_bus)] = abs(currents[k])
+    # the backward sweep sums the currents leaving the source into flow[0]
+    s0 = v0 * (-currents[0]).conjugate()
     return PowerFlowResult(
         voltages={bus: volt[k] for k, bus in enumerate(order)},
         branch_currents=branch_currents,
-        total_losses=ComplexPower(losses.real, losses.imag),
         s0_sub=ComplexPower(s0.real, s0.imag),
         iterations=iterations,
-        max_mismatch=max_mismatch,
     )
 
 
@@ -346,33 +328,39 @@ def parse_feeder(text: str, name: str = "<string>") -> FeederModel:
             raise FeederFileError(f"{name}:{lineno}: {exc}") from exc
     if source is None or v0 is None:
         raise FeederFileError(f"{name}: missing [source] section")
-    return FeederModel(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        loads=loads,
-        source=source,
-        v0=v0,
-    )
+    try:
+        return FeederModel(
+            buses=tuple(buses),
+            branches=tuple(branches),
+            loads=loads,
+            source=source,
+            v0=v0,
+        )
+    except TopologyError as exc:
+        raise FeederFileError(f"{name}: {exc}") from exc
 
 
 def load_feeder(path) -> FeederModel:
-    """Read and parse a feeder file from disk."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_feeder(fh.read(), name=str(path))
+    """Read and parse a feeder file from disk; any read fault is a FeederFileError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except FileNotFoundError as exc:
+        raise FeederFileError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise FeederFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FeederFileError(f"{path}:{lineno}: non-ASCII text") from exc
+    return parse_feeder(text, name=str(path))
 
 
-def single_branch_model(
-    z: Impedance,
-    v0: float,
-    ampacity: float = math.inf,
-    load: ComplexPower | None = None,
-) -> FeederModel:
+def single_branch_model(z: Impedance, v0: float, ampacity: float = math.inf) -> FeederModel:
     """Two-bus feeder (source "0", generator bus "g") for desk-scale studies."""
-    loads = {"g": load} if load is not None else {}
     return FeederModel(
         buses=("0", "g"),
         branches=(BranchSpec("0", "g", z, ampacity),),
-        loads=loads,
+        loads={},
         source="0",
         v0=v0,
     )

@@ -301,9 +301,7 @@ class TestEquivalentCommand:
         assert record["s_load_p"] == pytest.approx(0.576)
 
     def test_source_bus_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            main(["equivalent", "--feeder", FEEDER, "--bus", "1"])
-        assert err.value.code == 2
+        assert main(["equivalent", "--feeder", FEEDER, "--bus", "1"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -320,6 +318,43 @@ def test_substation_limit_is_sweep_only(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "--p-plus" in capsys.readouterr().err
+
+
+def _bad_feeder(kind, tmp_path):
+    path = tmp_path / f"{kind}.feeder"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-ascii":
+        path.write_bytes(b"# caf\xc3\xa9\n" + bundled_feeder_path().read_bytes())
+    elif kind == "meshed":
+        path.write_text(
+            "[bus]\n1\n2\n3\n[source]\n1 1.0\n"
+            "[branch]\n1 2 0.1 0.1 1\n2 3 0.1 0.1 1\n1 3 0.1 0.1 1\n"
+        )
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii", "meshed"])
+@pytest.mark.parametrize("command", ["limits", "equivalent"])
+def test_feeder_file_fault_is_one_error_line(command, kind, tmp_path, capsys):
+    path = _bad_feeder(kind, tmp_path)
+    assert main([command, "--feeder", path, "--bus", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if kind == "missing":
+        assert err == f"error: file not found: {path}\n"
+    else:
+        assert err.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize("command", ["limits", "equivalent", "sweep"])
+def test_source_bus_is_one_error_line(command, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([command, "--feeder", FEEDER, "--bus", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def _reject_constant(name):

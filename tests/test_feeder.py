@@ -136,7 +136,7 @@ class TestSolveFeeder:
         res = solve_feeder(three_bus_model())
         assert all(abs(v - 1.0) < 1e-12 for v in res.voltages.values())
         assert res.s0_sub.p == pytest.approx(0.0, abs=1e-12)
-        assert res.total_losses.p == pytest.approx(0.0, abs=1e-12)
+        assert all(i == pytest.approx(0.0, abs=1e-12) for i in res.branch_currents.values())
 
     def test_injection_at_unknown_bus_rejected(self):
         with pytest.raises(DomainError):
@@ -160,10 +160,22 @@ class TestSolveFeeder:
             three_bus_model(load=ComplexPower(0.3, 0.1)),
             {"e": ComplexPower(0.8, -0.2)},
         )
+        # currents, losses and power balance from the solved voltages alone
+        v = res.voltages
+        z1, z2 = complex(0.02, 0.04), complex(0.03, 0.01)
+        i1, i2 = (v["s"] - v["m"]) / z1, (v["m"] - v["e"]) / z2
+        losses = z1 * abs(i1) ** 2 + z2 * abs(i2) ** 2
+        s0 = v["s"] * (-i1).conjugate()
         # generation = load + losses + power into the source
-        assert res.s0_sub.p + res.total_losses.p + 0.3 == pytest.approx(0.8, abs=1e-8)
-        assert res.s0_sub.q + res.total_losses.q + 0.1 == pytest.approx(-0.2, abs=1e-8)
-        assert res.max_mismatch < 1e-8
+        assert s0.real + losses.real + 0.3 == pytest.approx(0.8, abs=1e-8)
+        assert s0.imag + losses.imag + 0.1 == pytest.approx(-0.2, abs=1e-8)
+        # each bus absorbs its load less its generation
+        assert v["m"] * (i1 - i2).conjugate() == pytest.approx(0.3 + 0.1j, abs=1e-8)
+        assert v["e"] * i2.conjugate() == pytest.approx(-0.8 + 0.2j, abs=1e-8)
+        # the returned currents and substation power agree with the voltages
+        assert res.branch_currents[("s", "m")] == pytest.approx(abs(i1), abs=1e-8)
+        assert res.branch_currents[("m", "e")] == pytest.approx(abs(i2), abs=1e-8)
+        assert res.s0_sub.as_complex() == pytest.approx(s0, abs=1e-8)
 
     def test_matches_hand_rolled_fixed_point(self):
         # independent oracle: Gauss-style voltage iteration written from the

@@ -7,7 +7,13 @@ import pytest
 import feederlimits.sweep
 from feederlimits import bundled_feeder_path
 from feederlimits.errors import DomainError, NoFeasiblePointError
-from feederlimits.feeder import load_feeder, single_branch_model, solve_feeder
+from feederlimits.feeder import (
+    BranchSpec,
+    FeederModel,
+    load_feeder,
+    single_branch_model,
+    solve_feeder,
+)
 from feederlimits.limits import TwoBusCase, marginal_transfer, thermal_limit
 from feederlimits.sweep import (
     FrontierPoint,
@@ -194,7 +200,13 @@ class TestRunSweep:
     def test_feeder_load_shifts_measured_generation(self):
         load = ComplexPower(0.3, 0.1)
         bare = single_branch_model(Z45, v0=1.0)
-        loaded = single_branch_model(Z45, v0=1.0, load=load)
+        loaded = FeederModel(
+            buses=("0", "g"),
+            branches=(BranchSpec("0", "g", Z45, math.inf),),
+            loads={"g": load},
+            source="0",
+            v0=1.0,
+        )
         config = coarse_config(p_range=(0.0, 1.5, 0.05))
         rb = run_sweep(bare, "g", config)
         rl = run_sweep(loaded, "g", config)
