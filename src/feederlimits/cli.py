@@ -2,7 +2,8 @@
 
 All machine output is per-unit, deterministic (fixed field order, 12
 significant digits) and either JSON or comma-delimited CSV with a header
-row and '.' decimal separator.
+row and '.' decimal separator.  Each subcommand returns its documents as
+(text, path) pairs, path None meaning stdout; only ``main`` writes them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .feeder import FeederModel, load_feeder, single_branch_model, two_bus_equiv
 from .limits import OperatingPoint, TwoBusCase, binding_limit, marginal_limit
 from .sweep import SweepConfig, frontier_curves, run_sweep
 from .twobus import Impedance, boundary_generation, upf_limit_generation
+
+Outputs = list[tuple[str, str | None]]
 
 
 def _fmt(value) -> str:
@@ -44,6 +47,11 @@ def _write(text: str, out: str | None):
     else:
         with open(out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
+
+
+def _render(args, doc, rows: list[dict]) -> str:
+    """``doc`` as JSON or ``rows`` as CSV, as --format asks."""
+    return render_json(doc) if args.format == "json" else render_csv(rows)
 
 
 def render_json(obj) -> str:
@@ -107,7 +115,7 @@ def _resolve_feeder(args, parser) -> tuple[FeederModel, str]:
     return single_branch_model(Impedance(args.r, args.x), args.v0, ampacity=ampacity), "g"
 
 
-def cmd_limits(args, parser) -> int:
+def cmd_limits(args, parser) -> Outputs:
     model, bus = _resolve_feeder(args, parser)
     if not args.feeder and args.i_plus is None:
         parser.error("--i-plus is required in inline mode")
@@ -115,35 +123,26 @@ def cmd_limits(args, parser) -> int:
     limits = binding_limit(case)
     marginal, thermal = limits.marginal, limits.thermal
     binding, lam_prime = limits.binding.value, limits.lambda_prime
-    if args.format == "json":
-        report = {
-            "case": case_dict(case),
-            "lambda_prime": lam_prime,
-            "binding": binding,
-            "marginal": point_dict(marginal),
-            "thermal": point_dict(thermal) if thermal is not None else None,
-        }
-        if limits.thermal_error is not None:
-            report["thermal_error"] = limits.thermal_error
-        if args.feeder:
-            report["s_load"] = {"p": s_load.p, "q": s_load.q}
-        text = render_json(report)
-    else:
-        rows = [
-            {"limit": "marginal", "binding": binding, "lambda_prime": lam_prime}
-            | point_dict(marginal)
-        ]
-        if thermal is not None:
-            rows.append(
-                {"limit": "thermal", "binding": binding, "lambda_prime": lam_prime}
-                | point_dict(thermal)
-            )
-        text = render_csv(rows)
-    _write(text, args.out)
-    return 0
+    report = {
+        "case": case_dict(case),
+        "lambda_prime": lam_prime,
+        "binding": binding,
+        "marginal": point_dict(marginal),
+        "thermal": point_dict(thermal) if thermal is not None else None,
+    }
+    if limits.thermal_error is not None:
+        report["thermal_error"] = limits.thermal_error
+    if args.feeder:
+        report["s_load"] = {"p": s_load.p, "q": s_load.q}
+    rows = [
+        {"limit": name, "binding": binding, "lambda_prime": lam_prime} | point_dict(point)
+        for name, point in (("marginal", marginal), ("thermal", thermal))
+        if point is not None
+    ]
+    return [(_render(args, report, rows), args.out)]
 
 
-def cmd_curves(args, parser) -> int:
+def cmd_curves(args, parser) -> Outputs:
     if args.lambda_min <= 0.0 or args.lambda_max < args.lambda_min:
         parser.error("lambda range must satisfy 0 < min <= max")
     if args.lambda_points < 1:
@@ -173,9 +172,7 @@ def cmd_curves(args, parser) -> int:
                 "pf_sub": point.pf_sub,
             }
         )
-    text = render_json(rows) if args.format == "json" else render_csv(rows)
-    _write(text, args.out)
-    return 0
+    return [(_render(args, rows, rows), args.out)]
 
 
 def _frontier_path(out: str) -> str:
@@ -183,9 +180,11 @@ def _frontier_path(out: str) -> str:
     return (stem if dot else out) + ".frontier.csv"
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args, parser) -> Outputs:
     if args.out is None:
         parser.error("--out is required for sweep (summary plus frontier file)")
+    if args.feeder and args.i_plus is not None:
+        parser.error("--i-plus applies to inline sweeps only: feeder branches keep their ampacity")
     model, bus = _resolve_feeder(args, parser)
     config = SweepConfig(
         p_range=(args.p_min, args.p_max, args.p_step),
@@ -206,39 +205,29 @@ def cmd_sweep(args, parser) -> int:
         "pg_thermal": report.measured_pg_thermal,
         "p0_thermal": report.measured_p0_thermal,
     }
-    if args.format == "json":
-        summary = {
-            "case": case_dict(report.case) | {"p_plus": config.p_plus},
-            "s_load": {"p": report.s_load.p, "q": report.s_load.q},
-            "measured": measured,
-            "predicted_marginal": point_dict(report.predicted_marginal),
-            "predicted_thermal": (
-                point_dict(report.predicted_thermal)
-                if report.predicted_thermal is not None
-                else None
-            ),
-            "errors": errors,
-        }
-        text = render_json(summary)
-    else:
-        row = measured | errors
-        text = render_csv([row])
-    _write(text, args.out)
-    curves = frontier_curves(report)
-    _write(render_csv(curves), _frontier_path(args.out))
-    return 0
+    summary = {
+        "case": case_dict(report.case) | {"p_plus": config.p_plus},
+        "s_load": {"p": report.s_load.p, "q": report.s_load.q},
+        "measured": measured,
+        "predicted_marginal": point_dict(report.predicted_marginal),
+        "predicted_thermal": (
+            point_dict(report.predicted_thermal)
+            if report.predicted_thermal is not None
+            else None
+        ),
+        "errors": errors,
+    }
+    return [
+        (_render(args, summary, [measured | errors]), args.out),
+        (render_csv(frontier_curves(report)), _frontier_path(args.out)),
+    ]
 
 
-def cmd_equivalent(args, parser) -> int:
+def cmd_equivalent(args, parser) -> Outputs:
     model = load_feeder(args.feeder)
     case, s_load = two_bus_equivalent(model, args.bus, v_plus=args.v_plus, i_plus=args.i_plus)
     record = case_dict(case) | {"s_load_p": s_load.p, "s_load_q": s_load.q}
-    if args.format == "json":
-        text = render_json(record)
-    else:
-        text = render_csv([record])
-    _write(text, args.out)
-    return 0
+    return [(_render(args, record, [record]), args.out)]
 
 
 def _add_common(sub):
@@ -249,7 +238,11 @@ def _add_common(sub):
     sub.add_argument("--x", type=float, help="line reactance, pu")
     sub.add_argument("--v-plus", type=float, default=1.06, help="upper voltage limit, pu")
     sub.add_argument("--i-plus", type=float, help="current limit, pu")
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
+    _add_output(sub, "json")
+
+
+def _add_output(sub, default_format: str):
+    sub.add_argument("--format", choices=("csv", "json"), default=default_format)
     sub.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -275,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--lambda-min", type=float, default=0.01)
     p_curves.add_argument("--lambda-max", type=float, default=100.0)
     p_curves.add_argument("--lambda-points", type=int, default=101)
-    p_curves.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_curves.add_argument("--out", help="output path (default: stdout)")
+    _add_output(p_curves, "csv")
     p_curves.set_defaults(func=cmd_curves)
 
     p_sweep = subparsers.add_parser(
@@ -299,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--bus", required=True)
     p_equiv.add_argument("--v-plus", type=float, default=1.06)
     p_equiv.add_argument("--i-plus", type=float)
-    p_equiv.add_argument("--format", choices=("csv", "json"), default="json")
-    p_equiv.add_argument("--out")
+    _add_output(p_equiv, "json")
     p_equiv.set_defaults(func=cmd_equivalent)
 
     return parser
@@ -310,14 +301,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
+        outputs = args.func(args, parser)
     except FeederLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # bad input is a usage error; anything else failed at run time
         return 2 if isinstance(exc, (FeederFileError, DomainError)) else 1
+    for text, path in outputs:
+        try:
+            _write(text, path)
+        except OSError as exc:
+            print(f"error: {path or '<stdout>'}: cannot write: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+    return 0
 
 
 if __name__ == "__main__":

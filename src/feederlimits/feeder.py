@@ -60,8 +60,8 @@ class FeederModel:
 
     def __post_init__(self):
         object.__setattr__(self, "loads", types.MappingProxyType(dict(self.loads)))
-        if not self.v0 > 0.0:
-            raise DomainError(f"source voltage must be positive: {self.v0!r}")
+        if not 0.0 < self.v0 < math.inf:
+            raise DomainError(f"source voltage must be positive and finite: {self.v0!r}")
         if self.source not in self.buses:
             raise TopologyError(f"source bus {self.source!r} is not a bus")
         if len(set(self.buses)) != len(self.buses):
@@ -69,9 +69,11 @@ class FeederModel:
         for br in self.branches:
             if br.from_bus not in self.buses or br.to_bus not in self.buses:
                 raise TopologyError(f"branch {br.from_bus}-{br.to_bus} references unknown bus")
-        for bus in self.loads:
+        for bus, s in self.loads.items():
             if bus not in self.buses:
                 raise TopologyError(f"load at unknown bus {bus!r}")
+            if not (math.isfinite(s.p) and math.isfinite(s.q)):
+                raise DomainError(f"load at bus {bus!r} must be finite: {s}")
         order, parent, order_branch = self._bfs()
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_parent", parent)
@@ -161,7 +163,7 @@ def solve_feeder(
     zc = [0j] * n
     for k in range(1, n):
         br = model.branches[model._order_branch[k]]
-        zc[k] = complex(br.z.r, br.z.x)
+        zc[k] = br.z.as_complex()
     # consumption = load - generation, per bus in BFS order
     cons = [0j] * n
     for k, bus in enumerate(order):
@@ -185,19 +187,15 @@ def solve_feeder(
             flow[k] = i_k
             flow[parent[k]] += i_k
         delta = 0.0
-        bad = False
         for k in range(1, n):
             v = volt[parent[k]] - zc[k] * flow[k]
             d = abs(v - volt[k])
             if d > delta:
                 delta = d
             volt[k] = v
-            mag = abs(v)
-            if not (mag == mag) or mag > _V_BLOWUP or mag < _V_COLLAPSE:
-                bad = True
-        currents = flow
-        if bad:
-            raise ConvergenceError(f"power flow diverged after {iterations} iterations")
+            # NaN fails this check too
+            if not _V_COLLAPSE <= abs(v) <= _V_BLOWUP:
+                raise ConvergenceError(f"power flow diverged after {iterations} iterations")
         if delta < _TOL:
             break
         # a contraction rate needing >32 iterations per error quarter would
@@ -218,9 +216,9 @@ def solve_feeder(
     branch_currents: dict[tuple[str, str], float] = {}
     for k in range(1, n):
         br = model.branches[model._order_branch[k]]
-        branch_currents[(br.from_bus, br.to_bus)] = abs(currents[k])
+        branch_currents[(br.from_bus, br.to_bus)] = abs(flow[k])
     # the backward sweep sums the currents leaving the source into flow[0]
-    s0 = v0 * (-currents[0]).conjugate()
+    s0 = v0 * (-flow[0]).conjugate()
     return PowerFlowResult(
         voltages={bus: volt[k] for k, bus in enumerate(order)},
         branch_currents=branch_currents,
@@ -336,7 +334,7 @@ def parse_feeder(text: str, name: str = "<string>") -> FeederModel:
             source=source,
             v0=v0,
         )
-    except TopologyError as exc:
+    except (TopologyError, DomainError) as exc:
         raise FeederFileError(f"{name}: {exc}") from exc
 
 

@@ -37,7 +37,7 @@ class TwoBusCase:
     v0: source (reference) bus voltage, per-unit.
     z: series line impedance.
     v_plus: upper voltage limit at the generator bus.
-    i_plus: line current limit (ampacity).
+    i_plus: line current limit (ampacity); +inf means unbounded.
     """
 
     v0: float
@@ -47,7 +47,8 @@ class TwoBusCase:
 
     def __post_init__(self):
         # written so that NaN fails every comparison
-        if not (self.v0 > 0.0 and self.v_plus > 0.0 and self.i_plus >= 0.0):
+        if not (0.0 < self.v0 < math.inf and 0.0 < self.v_plus < math.inf
+                and self.i_plus >= 0.0):
             raise DomainError(f"invalid case parameters: {self}")
         _require_line(self.z)
 

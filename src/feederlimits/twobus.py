@@ -22,15 +22,15 @@ DISCRIMINANT_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Impedance:
-    """Series line impedance R + jX, both components non-negative, per-unit."""
+    """Series line impedance R + jX, both components non-negative and finite, per-unit."""
 
     r: float
     x: float
 
     def __post_init__(self):
         # written so that NaN fails every comparison
-        if not (self.r >= 0.0 and self.x >= 0.0):
-            raise DomainError(f"impedance components must be non-negative numbers: {self}")
+        if not (0.0 <= self.r < math.inf and 0.0 <= self.x < math.inf):
+            raise DomainError(f"impedance components must be non-negative finite numbers: {self}")
 
     def magnitude(self) -> float:
         return math.hypot(self.r, self.x)
@@ -64,9 +64,6 @@ class ComplexPower:
 
     def as_complex(self) -> complex:
         return complex(self.p, self.q)
-
-    def __add__(self, other: "ComplexPower") -> "ComplexPower":
-        return ComplexPower(self.p + other.p, self.q + other.q)
 
     def __sub__(self, other: "ComplexPower") -> "ComplexPower":
         return ComplexPower(self.p - other.p, self.q - other.q)
@@ -135,7 +132,7 @@ def solve(sg_t: RotatedPower, v0: float, branch: Branch) -> TwoBusSolution:
     discriminant is negative beyond rounding slack.
     """
     if v0 <= 0.0:
-        raise ValueError("reference voltage must be positive")
+        raise DomainError("reference voltage must be positive")
     disc = discriminant(sg_t, v0)
     if disc < -DISCRIMINANT_SLACK:
         raise NoSolutionError(

@@ -124,11 +124,13 @@ class TestLimitsCommand:
 
     @pytest.mark.parametrize("flag", ["--v0", "--r", "--i-plus", "--v-plus"])
     def test_nan_input_is_usage_error(self, capsys, flag):
-        argv = {"--v0": "1", "--r": "0.5", "--x": "0.5", "--i-plus": "1", "--v-plus": "1.06"}
-        argv[flag] = "nan"
-        code = main(["limits"] + [tok for pair in argv.items() for tok in pair])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # an infinite --i-plus is an unbounded ampacity, not bad input
+        for value in ("nan",) if flag == "--i-plus" else ("nan", "inf"):
+            argv = {"--v0": "1", "--r": "0.5", "--x": "0.5", "--i-plus": "1", "--v-plus": "1.06"}
+            argv[flag] = value
+            code = main(["limits"] + [tok for pair in argv.items() for tok in pair])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCurvesCommand:
@@ -258,6 +260,21 @@ class TestSweepCommand:
         assert summary["case"]["p_plus"] == 0.3
         assert summary["measured"]["p0_marginal"] <= 0.3
 
+    def test_feeder_sweep_rejects_current_limit(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "sweep", "--feeder", FEEDER, "--bus", "12", "--i-plus", "0.1",
+                    "--p-min", "0", "--p-max", "0.2", "--p-step", "0.1",
+                    "--q-min", "-0.2", "--q-max", "0", "--q-step", "0.1",
+                    "--out", str(out),
+                ]
+            )
+        assert err.value.code == 2
+        assert "--i-plus" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -331,10 +348,18 @@ def _bad_feeder(kind, tmp_path):
             "[bus]\n1\n2\n3\n[source]\n1 1.0\n"
             "[branch]\n1 2 0.1 0.1 1\n2 3 0.1 0.1 1\n1 3 0.1 0.1 1\n"
         )
+    elif kind == "negative-source":
+        path.write_text("[bus]\n1\n2\n[source]\n1 -1.0\n[branch]\n1 2 0.1 0.1 1\n")
+    elif kind == "nan-load":
+        path.write_text(
+            "[bus]\n1\n2\n[source]\n1 1.0\n[branch]\n1 2 0.1 0.1 1\n[load]\n2 nan 0\n"
+        )
     return str(path)
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii", "meshed"])
+@pytest.mark.parametrize(
+    "kind", ["missing", "directory", "non-ascii", "meshed", "negative-source", "nan-load"]
+)
 @pytest.mark.parametrize("command", ["limits", "equivalent"])
 def test_feeder_file_fault_is_one_error_line(command, kind, tmp_path, capsys):
     path = _bad_feeder(kind, tmp_path)
@@ -355,6 +380,25 @@ def test_source_bus_is_one_error_line(command, tmp_path, capsys):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+OUTPUT_COMMANDS = {
+    "limits": ["limits", "--v0", "1", "--r", "0.5", "--x", "0.5", "--i-plus", "1"],
+    "curves": ["curves", "--lambda-points", "3"],
+    "sweep": ["sweep", "--v0", "1", "--r", "0.5", "--x", "0.5", "--p-max", "0.2",
+              "--p-step", "0.1", "--q-min", "-0.2", "--q-max", "0", "--q-step", "0.1"],
+    "equivalent": ["equivalent", "--feeder", FEEDER, "--bus", "12"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_unwritable_out_is_one_error_line(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(OUTPUT_COMMANDS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: cannot write: ")
+    assert err.count("\n") == 1
 
 
 def _reject_constant(name):

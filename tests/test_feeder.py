@@ -107,8 +107,14 @@ class TestModelValidation:
         assert model.total_load() == ComplexPower(0.1, 0.0)
 
     def test_nan_source_voltage_rejected(self):
-        with pytest.raises(DomainError):
-            single_branch_model(Impedance(0.1, 0.1), v0=math.nan)
+        for v0 in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                single_branch_model(Impedance(0.1, 0.1), v0=v0)
+
+    def test_non_finite_load_rejected(self):
+        for load in (ComplexPower(math.nan, 0.0), ComplexPower(0.1, math.inf)):
+            with pytest.raises(DomainError, match="load at bus 'm'"):
+                three_bus_model(load)
 
     def test_nan_or_negative_ampacity_rejected(self):
         for ampacity in (math.nan, -1.0):

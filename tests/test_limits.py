@@ -308,8 +308,10 @@ class TestCaseValidation:
 
     def test_nan_parameters_rejected(self):
         z = Impedance(0.5, 0.5)
+        # an infinite ampacity is unbounded, not bad input
         for v0, v_plus, i_plus in ((math.nan, 1.06, 1.0), (1.0, math.nan, 1.0),
-                                   (1.0, 1.06, math.nan)):
+                                   (1.0, 1.06, math.nan), (math.inf, 1.06, 1.0),
+                                   (1.0, math.inf, 1.0)):
             with pytest.raises(DomainError):
                 TwoBusCase(v0=v0, z=z, v_plus=v_plus, i_plus=i_plus)
 

@@ -58,7 +58,7 @@ class TestImpedance:
             Impedance(-0.1, 0.2)
 
     def test_nan_components_rejected(self):
-        for r, x in ((math.nan, 1.0), (1.0, math.nan)):
+        for r, x in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
             with pytest.raises(DomainError):
                 Impedance(r, x)
 
@@ -155,7 +155,7 @@ class TestSolve:
             solve(RotatedPower(-0.3, 0.0), 1.0, Branch.HIGH_VOLTAGE)
 
     def test_nonpositive_reference_voltage_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             solve(RotatedPower(0.0, 0.0), 0.0, Branch.HIGH_VOLTAGE)
 
     def test_high_branch_dominates_low_branch(self):
