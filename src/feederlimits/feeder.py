@@ -148,8 +148,12 @@ def solve_feeder(
     largest complex voltage change drops below ``_TOL``, raising
     :class:`ConvergenceError` otherwise.  Heavy loading slows the sweep's
     linear convergence, so the iteration cap is generous; a stalling
-    voltage change is detected early and reported as divergence instead of
-    burning the full budget.
+    voltage change is reported instead of burning the full budget.  It
+    stalls when, measured from sweep 1, it fails to fall by a factor 1/√2
+    over an 8-sweep window, so most unsolvable injections stop by sweep
+    16.  That is the same per-sweep threshold as a factor ¼ over 32 sweeps,
+    about 0.958, and slower contraction could not reach the tolerance
+    within the budget.
     """
     injections = injections or {}
     for bus in injections:
@@ -178,7 +182,6 @@ def solve_feeder(
     volt = [v0] * n
     iterations = 0
     delta = math.inf
-    checkpoint = math.inf
     while iterations < _MAX_ITER:
         iterations += 1
         flow = [0j] * n
@@ -198,10 +201,12 @@ def solve_feeder(
                 raise ConvergenceError(f"power flow diverged after {iterations} iterations")
         if delta < _TOL:
             break
-        # a contraction rate needing >32 iterations per error quarter would
-        # blow the iteration budget anyway; call it divergence now
-        if iterations % 32 == 0:
-            if delta > 0.25 * checkpoint:
+        # stall rule: each 8-sweep window from sweep 1 shrinks delta by 1/√2;
+        # slower than (1/√2)^(1/8) ≈ 0.958 per sweep cannot reach _TOL in time
+        if iterations == 1:
+            checkpoint = delta
+        elif iterations % 8 == 0:
+            if delta > checkpoint * math.sqrt(0.5):
                 raise ConvergenceError(
                     f"power flow stalled after {iterations} iterations "
                     f"(voltage change {delta:.3e})"

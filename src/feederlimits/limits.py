@@ -46,8 +46,10 @@ class TwoBusCase:
     i_plus: float
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not (0.0 < self.v0 < math.inf and 0.0 < self.v_plus < math.inf
+        # written so that NaN fails every comparison; the formulas square
+        # both voltages, so their squares must be finite too
+        if not (0.0 < self.v0 and self.v0 * self.v0 < math.inf
+                and 0.0 < self.v_plus and self.v_plus * self.v_plus < math.inf
                 and self.i_plus >= 0.0):
             raise DomainError(f"invalid case parameters: {self}")
         _require_line(self.z)

@@ -94,8 +94,13 @@ class TwoBusSolution:
 
 
 def _require_line(z: Impedance):
-    if z.magnitude() == 0.0:
+    # the formulas divide by r² + x², which leaves the float range for |Z|
+    # below about 1e-162 or above about 1e154 although |Z| itself does not
+    z_sq = z.r * z.r + z.x * z.x
+    if z_sq == 0.0:
         raise DegenerateImpedanceError("impedance magnitude must be positive")
+    if z_sq == math.inf:
+        raise DomainError(f"impedance magnitude squared overflows: {z}")
 
 
 def rotate(s: ComplexPower, z: Impedance) -> RotatedPower:

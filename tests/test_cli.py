@@ -132,6 +132,25 @@ class TestLimitsCommand:
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({"--v0": "1e300"}, 2),
+            ({"--v-plus": "1e300"}, 2),
+            ({"--r": "1e300"}, 2),
+            ({"--r": "1e-300", "--x": "1e-300"}, 1),
+        ],
+        ids=["huge-v0", "huge-v-plus", "huge-r", "tiny-z"],
+    )
+    def test_extreme_finite_input_is_one_error_line(self, capsys, overrides, expected):
+        # finite values whose squares leave the float range
+        argv = {"--v0": "1", "--r": "0.5", "--x": "0.5", "--i-plus": "1"} | overrides
+        code = main(["limits"] + [tok for pair in argv.items() for tok in pair])
+        assert code == expected
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestCurvesCommand:
     def test_single_point_matches_closed_form(self, capsys):

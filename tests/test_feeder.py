@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import feederlimits.feeder
 from feederlimits import bundled_feeder_path
@@ -24,9 +26,17 @@ from feederlimits.feeder import (
     two_bus_equivalent,
 )
 from feederlimits.limits import marginal_limit
-from feederlimits.twobus import Branch, ComplexPower, Impedance, rotate, solve
+from feederlimits.twobus import (
+    Branch,
+    ComplexPower,
+    Impedance,
+    discriminant,
+    rotate,
+    solve,
+)
 
 SQ2 = math.sqrt(2.0)
+Z45 = Impedance(1.0 / SQ2, 1.0 / SQ2)
 
 
 def three_bus_model(load=None):
@@ -222,6 +232,39 @@ class TestSolveFeeder:
         model = single_branch_model(Impedance(0.5, 0.5), v0=1.0)
         with pytest.raises(ConvergenceError):
             solve_feeder(model, {"g": ComplexPower(-5.0, 0.0)})
+
+    def test_unsolvable_injection_stalls_at_first_checkpoint(self):
+        # no power flow solution exists, so the voltage change never shrinks
+        # by 1/√2 between sweep 1 and sweep 8
+        model = single_branch_model(Z45, v0=1.0)
+        for sg in (ComplexPower(-5.0, 0.0), ComplexPower(0.5, -3.0)):
+            with pytest.raises(ConvergenceError, match="stalled after 8 iterations"):
+                solve_feeder(model, {"g": sg})
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        log_lam=st.floats(-1.5, 1.5),
+        z_mag=st.floats(0.01, 3.0),
+        v0=st.floats(0.9, 1.1),
+        p=st.floats(0.0, 0.6),
+        q=st.floats(-0.6, 0.3),
+    )
+    def test_contracting_injection_converges_to_high_voltage_root(
+        self, log_lam, z_mag, v0, p, q
+    ):
+        # criterion 8's filter, scaled by V0² and V0²/|Z|: away from the
+        # solution boundary and where the sweep map contracts, the stall
+        # rule must never give up on a solvable injection
+        lam = 10.0**log_lam
+        x = z_mag / math.sqrt(1.0 + lam * lam)
+        z = Impedance(lam * x, x)
+        sg = ComplexPower(p * v0 * v0 / z_mag, q * v0 * v0 / z_mag)
+        s_t = rotate(sg, z)
+        assume(discriminant(s_t, v0) >= 0.05 * v0**4)
+        sol = solve(s_t, v0, Branch.HIGH_VOLTAGE)
+        assume(abs(complex(s_t.p_t, s_t.q_t)) <= 0.9 * sol.vg_sq)
+        res = solve_feeder(single_branch_model(z, v0=v0), {"g": sg})
+        assert abs(res.voltages["g"]) ** 2 == pytest.approx(sol.vg_sq, abs=1e-8)
 
     def test_iteration_budget_respected(self, monkeypatch):
         monkeypatch.setattr(feederlimits.feeder, "_MAX_ITER", 2)
