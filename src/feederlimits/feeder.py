@@ -24,6 +24,8 @@ _V_COLLAPSE = 1.0e-9
 # Sweep budget and convergence tolerance on the largest voltage change.
 _MAX_ITER = 512
 _TOL = 1e-10
+# stall factor per 8-sweep window
+_STALL = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,23 @@ class FeederModel:
     source: str
     v0: float
 
-    # BFS ordering caches, filled in __post_init__.
-    _order: tuple[str, ...] = field(default=(), repr=False, compare=False)
-    _parent: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    _order_branch: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    # Solver tables, built once in __post_init__; index k is the k-th bus in
+    # BFS order from the source (k = 0).
+    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _parent: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the branch feeding bus k (None at the source)
+    _in_branch: tuple[BranchSpec | None, ...] = field(init=False, repr=False, compare=False)
+    # load per bus as the solver adds it up: 0j plus the load, if any
+    _cons: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    # (k, parent) in reverse BFS order, for the backward (current) sweep
+    _backward: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    # (k, parent, branch impedance) in BFS order, for the forward (voltage) sweep
+    _forward: tuple[tuple[int, int, complex], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    # (from, to) of the branch feeding bus k, for k = 1, 2, ...
+    _branch_keys: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", types.MappingProxyType(dict(self.loads)))
@@ -74,30 +89,42 @@ class FeederModel:
                 raise TopologyError(f"load at unknown bus {bus!r}")
             if not (math.isfinite(s.p) and math.isfinite(s.q)):
                 raise DomainError(f"load at bus {bus!r} must be finite: {s}")
-        order, parent, order_branch = self._bfs()
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_order_branch", order_branch)
+        order, parent, in_branch = self._bfs()
+        k_parent = tuple(enumerate(parent))[1:]
+        tables = {
+            "_order": order,
+            "_pos": {bus: k for k, bus in enumerate(order)},
+            "_parent": parent,
+            "_in_branch": in_branch,
+            "_cons": tuple(
+                0j + self.loads[bus].as_complex() if bus in self.loads else 0j for bus in order
+            ),
+            "_backward": k_parent[::-1],
+            "_forward": tuple((k, p, in_branch[k].z.as_complex()) for k, p in k_parent),
+            "_branch_keys": tuple((br.from_bus, br.to_bus) for br in in_branch[1:]),
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     def _bfs(self):
-        adjacency: dict[str, list[tuple[str, int]]] = {b: [] for b in self.buses}
-        for idx, br in enumerate(self.branches):
-            adjacency[br.from_bus].append((br.to_bus, idx))
-            adjacency[br.to_bus].append((br.from_bus, idx))
+        adjacency: dict[str, list[tuple[str, BranchSpec]]] = {b: [] for b in self.buses}
+        for br in self.branches:
+            adjacency[br.from_bus].append((br.to_bus, br))
+            adjacency[br.to_bus].append((br.from_bus, br))
         order = [self.source]
         parent = [-1]
-        order_branch = [-1]
+        in_branch = [None]
         seen = {self.source}
         head = 0
         while head < len(order):
             bus = order[head]
-            for nbr, idx in adjacency[bus]:
+            for nbr, br in adjacency[bus]:
                 if nbr in seen:
                     continue
                 seen.add(nbr)
                 order.append(nbr)
                 parent.append(head)
-                order_branch.append(idx)
+                in_branch.append(br)
             head += 1
         if len(order) != len(self.buses):
             missing = set(self.buses) - seen
@@ -107,17 +134,16 @@ class FeederModel:
                 "feeder is not radial: "
                 f"{len(self.branches)} branches for {len(self.buses)} buses"
             )
-        return tuple(order), tuple(parent), tuple(order_branch)
+        return tuple(order), tuple(parent), tuple(in_branch)
 
     def path_to(self, bus: str) -> list[BranchSpec]:
         """Branches on the unique source → bus path, source end first."""
-        if bus not in self.buses:
+        k = self._pos.get(bus)
+        if k is None:
             raise DomainError(f"unknown bus {bus!r}")
-        pos = {b: k for k, b in enumerate(self._order)}
         path = []
-        k = pos[bus]
         while k > 0:
-            path.append(self.branches[self._order_branch[k]])
+            path.append(self._in_branch[k])
             k = self._parent[k]
         path.reverse()
         return path
@@ -155,58 +181,47 @@ def solve_feeder(
     about 0.958, and slower contraction could not reach the tolerance
     within the budget.
     """
-    injections = injections or {}
-    for bus in injections:
-        # the source voltage is fixed, so an injection there would be dropped
-        if bus not in model.buses or bus == model.source:
-            raise DomainError(f"injection at unknown or source bus {bus!r}")
-
-    order = model._order
-    parent = model._parent
-    n = len(order)
-    zc = [0j] * n
-    for k in range(1, n):
-        br = model.branches[model._order_branch[k]]
-        zc[k] = br.z.as_complex()
     # consumption = load - generation, per bus in BFS order
-    cons = [0j] * n
-    for k, bus in enumerate(order):
-        s = 0j
-        if bus in model.loads:
-            s += model.loads[bus].as_complex()
-        if bus in injections:
-            s -= injections[bus].as_complex()
-        cons[k] = s
+    cons = list(model._cons)
+    if injections:
+        for bus, s in injections.items():
+            k = model._pos.get(bus)
+            # the source voltage is fixed, so an injection there would be dropped
+            if not k:
+                raise DomainError(f"injection at unknown or source bus {bus!r}")
+            cons[k] -= s.as_complex()
 
+    backward = model._backward
+    forward = model._forward
+    n = len(cons)
+    v_collapse, v_blowup, tol = _V_COLLAPSE, _V_BLOWUP, _TOL
     v0 = complex(model.v0, 0.0)
     volt = [v0] * n
-    iterations = 0
     delta = math.inf
-    while iterations < _MAX_ITER:
-        iterations += 1
+    for iterations in range(1, _MAX_ITER + 1):
         flow = [0j] * n
-        for k in range(n - 1, 0, -1):
+        for k, p in backward:
             i_k = (cons[k] / volt[k]).conjugate() + flow[k]
             flow[k] = i_k
-            flow[parent[k]] += i_k
+            flow[p] += i_k
         delta = 0.0
-        for k in range(1, n):
-            v = volt[parent[k]] - zc[k] * flow[k]
+        for k, p, z in forward:
+            v = volt[p] - z * flow[k]
             d = abs(v - volt[k])
             if d > delta:
                 delta = d
             volt[k] = v
             # NaN fails this check too
-            if not _V_COLLAPSE <= abs(v) <= _V_BLOWUP:
+            if not v_collapse <= abs(v) <= v_blowup:
                 raise ConvergenceError(f"power flow diverged after {iterations} iterations")
-        if delta < _TOL:
+        if delta < tol:
             break
         # stall rule: each 8-sweep window from sweep 1 shrinks delta by 1/√2;
         # slower than (1/√2)^(1/8) ≈ 0.958 per sweep cannot reach _TOL in time
         if iterations == 1:
             checkpoint = delta
         elif iterations % 8 == 0:
-            if delta > checkpoint * math.sqrt(0.5):
+            if delta > checkpoint * _STALL:
                 raise ConvergenceError(
                     f"power flow stalled after {iterations} iterations "
                     f"(voltage change {delta:.3e})"
@@ -218,15 +233,11 @@ def solve_feeder(
             f"(last voltage change {delta:.3e})"
         )
 
-    branch_currents: dict[tuple[str, str], float] = {}
-    for k in range(1, n):
-        br = model.branches[model._order_branch[k]]
-        branch_currents[(br.from_bus, br.to_bus)] = abs(flow[k])
     # the backward sweep sums the currents leaving the source into flow[0]
     s0 = v0 * (-flow[0]).conjugate()
     return PowerFlowResult(
-        voltages={bus: volt[k] for k, bus in enumerate(order)},
-        branch_currents=branch_currents,
+        voltages={bus: volt[k] for k, bus in enumerate(model._order)},
+        branch_currents={key: abs(flow[k]) for k, key in enumerate(model._branch_keys, 1)},
         s0_sub=ComplexPower(s0.real, s0.imag),
         iterations=iterations,
     )
@@ -242,7 +253,10 @@ def thevenin_impedance(model: FeederModel, bus: str) -> Impedance:
     if bus == model.source:
         raise DomainError("thevenin impedance at the source bus is degenerate")
     path = model.path_to(bus)
-    return Impedance(math.fsum(br.z.r for br in path), math.fsum(br.z.x for br in path))
+    try:
+        return Impedance(math.fsum(br.z.r for br in path), math.fsum(br.z.x for br in path))
+    except OverflowError as exc:  # from fsum: the sum leaves the float range
+        raise DomainError(f"path impedance to bus {bus!r} overflows") from exc
 
 
 def two_bus_equivalent(

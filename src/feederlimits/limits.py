@@ -29,6 +29,11 @@ from .twobus import (
     unrotate,
 )
 
+# On the voltage locus the drop |Z|·I = |Vg − V0| is at most V+ + V0.  A
+# drop beyond _FAR times that bound misses the locus so far that the
+# thermal root argument is −inf in floating point.
+_FAR = 1e100
+
 
 @dataclass(frozen=True)
 class TwoBusCase:
@@ -144,11 +149,16 @@ def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float]:
     Of the two reactive roots ±q_t the negative one gives the larger
     generated power, so it is the one returned.
     """
-    if not math.isfinite(case.i_plus):
-        raise ThermalLimitError("ampacity is unbounded, no thermal limit point exists")
     z_mag = case.z.magnitude()
-    p_t = 0.5 * (case.v_plus**2 - case.v0**2 + z_mag**2 * case.i_plus**2)
-    arg = (case.v_plus * case.i_plus * z_mag) ** 2 - p_t * p_t
+    if z_mag * case.i_plus > _FAR * (case.v_plus + case.v0):
+        if case.i_plus == math.inf:
+            raise ThermalLimitError("ampacity is unbounded, no thermal limit point exists")
+        # about −(|Z|·I+)⁴/4 there, below the float range; squaring the
+        # ampacity to compute it could raise OverflowError
+        arg = -math.inf
+    else:
+        p_t = 0.5 * (case.v_plus**2 - case.v0**2 + z_mag**2 * case.i_plus**2)
+        arg = (case.v_plus * case.i_plus * z_mag) ** 2 - p_t * p_t
     if arg < 0.0:
         raise ThermalLimitError(
             "thermal limit does not intersect the voltage-limit locus "

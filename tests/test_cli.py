@@ -151,6 +151,16 @@ class TestLimitsCommand:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_huge_finite_ampacity_has_no_thermal_point(self, capsys):
+        # as with an unbounded ampacity, the thermal circle misses the locus
+        code, report = run_json(
+            capsys, ["limits", "--v0", "1", "--r", "0.5", "--x", "0.5", "--i-plus", "1e300"]
+        )
+        assert code == 0
+        assert report["thermal"] is None
+        assert report["binding"] == "marginal"
+        assert "does not intersect" in report["thermal_error"]
+
 
 class TestCurvesCommand:
     def test_single_point_matches_closed_form(self, capsys):
@@ -227,6 +237,23 @@ class TestSweepCommand:
         header, rows = read_csv(frontier)
         assert header[0] == "p_gen"
         assert len(rows) >= 5
+
+    def test_huge_finite_ampacity_has_no_predicted_thermal_point(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        code = main(
+            [
+                "sweep",
+                "--v0", "1", "--r", "0.5", "--x", "0.5", "--i-plus", "1e300",
+                "--p-max", "0.4", "--p-step", "0.1",
+                "--q-min", "-0.4", "--q-max", "0", "--q-step", "0.1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        summary = json.loads(out.read_text())
+        assert summary["predicted_thermal"] is None
+        assert summary["errors"]["eps_pg_thermal"] is None
+        assert summary["predicted_marginal"]["vg"] == pytest.approx(1.06)
 
     def test_sweep_requires_output_path(self):
         with pytest.raises(SystemExit) as err:
@@ -389,6 +416,20 @@ def test_feeder_file_fault_is_one_error_line(command, kind, tmp_path, capsys):
         assert err == f"error: file not found: {path}\n"
     else:
         assert err.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize("command", ["limits", "equivalent", "sweep"])
+def test_overflowing_path_impedance_is_one_error_line(command, tmp_path, capsys):
+    # each branch is finite, but the series sum to bus 3 leaves the float range
+    path = tmp_path / "huge.feeder"
+    path.write_text(
+        "[bus]\n1\n2\n3\n[source]\n1 1.0\n"
+        "[branch]\n1 2 1e308 0.1 1\n2 3 1e308 0.1 1\n"
+    )
+    out = tmp_path / "out.json"
+    assert main([command, "--feeder", str(path), "--bus", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: path impedance to bus '3' overflows\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["limits", "equivalent", "sweep"])

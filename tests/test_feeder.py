@@ -1,5 +1,6 @@
 """Tests for the radial feeder model, solver and two-bus equivalencing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -16,8 +17,13 @@ from feederlimits.errors import (
     TopologyError,
 )
 from feederlimits.feeder import (
+    _MAX_ITER,
+    _TOL,
+    _V_BLOWUP,
+    _V_COLLAPSE,
     BranchSpec,
     FeederModel,
+    PowerFlowResult,
     load_feeder,
     parse_feeder,
     single_branch_model,
@@ -52,6 +58,128 @@ def three_bus_model(load=None):
         source="s",
         v0=1.0,
     )
+
+
+def textbook_solve(model, injections=None):
+    """Reference power flow that builds every table per call.
+
+    The same BFS order and the same arithmetic in the same order as
+    :func:`solve_feeder`, from the model's public fields alone, so the two
+    must agree bit for bit.
+    """
+    injections = injections or {}
+    for bus in injections:
+        if bus not in model.buses or bus == model.source:
+            raise DomainError(f"injection at unknown or source bus {bus!r}")
+    adjacency = {b: [] for b in model.buses}
+    for br in model.branches:
+        adjacency[br.from_bus].append((br.to_bus, br))
+        adjacency[br.to_bus].append((br.from_bus, br))
+    order, parent, feeding = [model.source], [-1], [None]
+    head = 0
+    while head < len(order):
+        for nbr, br in adjacency[order[head]]:
+            if nbr not in order:
+                order.append(nbr)
+                parent.append(head)
+                feeding.append(br)
+        head += 1
+    n = len(order)
+    zc = [0j] + [br.z.as_complex() for br in feeding[1:]]
+    cons = [0j] * n
+    for k, bus in enumerate(order):
+        s = 0j
+        if bus in model.loads:
+            s += model.loads[bus].as_complex()
+        if bus in injections:
+            s -= injections[bus].as_complex()
+        cons[k] = s
+
+    v0 = complex(model.v0, 0.0)
+    volt = [v0] * n
+    iterations = 0
+    delta = math.inf
+    while iterations < _MAX_ITER:
+        iterations += 1
+        flow = [0j] * n
+        for k in range(n - 1, 0, -1):
+            i_k = (cons[k] / volt[k]).conjugate() + flow[k]
+            flow[k] = i_k
+            flow[parent[k]] += i_k
+        delta = 0.0
+        for k in range(1, n):
+            v = volt[parent[k]] - zc[k] * flow[k]
+            d = abs(v - volt[k])
+            if d > delta:
+                delta = d
+            volt[k] = v
+            if not _V_COLLAPSE <= abs(v) <= _V_BLOWUP:
+                raise ConvergenceError(f"power flow diverged after {iterations} iterations")
+        if delta < _TOL:
+            break
+        if iterations == 1:
+            checkpoint = delta
+        elif iterations % 8 == 0:
+            if delta > checkpoint * math.sqrt(0.5):
+                raise ConvergenceError(
+                    f"power flow stalled after {iterations} iterations "
+                    f"(voltage change {delta:.3e})"
+                )
+            checkpoint = delta
+    else:
+        raise ConvergenceError(
+            f"power flow did not converge in {_MAX_ITER} iterations "
+            f"(last voltage change {delta:.3e})"
+        )
+    s0 = v0 * (-flow[0]).conjugate()
+    return PowerFlowResult(
+        voltages={bus: volt[k] for k, bus in enumerate(order)},
+        branch_currents={
+            (br.from_bus, br.to_bus): abs(flow[k]) for k, br in enumerate(feeding) if k
+        },
+        s0_sub=ComplexPower(s0.real, s0.imag),
+        iterations=iterations,
+    )
+
+
+def outcome(solver, model, injections):
+    """Results as comparable values (dict order included), or the error text."""
+    try:
+        res = solver(model, injections)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
+    return (
+        list(res.voltages.items()),
+        list(res.branch_currents.items()),
+        res.s0_sub,
+        res.iterations,
+    )
+
+
+@st.composite
+def radial_feeders(draw):
+    """Random radial tree of 2-12 buses in shuffled bus and branch order,
+    random branch directions and loads, and one generator injection."""
+    n = draw(st.integers(2, 12))
+    names = draw(st.permutations([f"b{k}" for k in range(n)]))
+    impedance = st.builds(Impedance, st.floats(0.0, 0.3), st.floats(0.001, 0.3))
+    power = st.builds(ComplexPower, st.floats(-0.5, 1.0), st.floats(-0.5, 0.5))
+    branches = []
+    for k in range(1, n):
+        ends = (names[draw(st.integers(0, k - 1))], names[k])
+        if draw(st.booleans()):
+            ends = ends[::-1]
+        branches.append(BranchSpec(*ends, draw(impedance), 1.0))
+    loaded = draw(st.lists(st.sampled_from(names[1:]), unique=True))
+    model = FeederModel(
+        buses=tuple(draw(st.permutations(names))),
+        branches=tuple(draw(st.permutations(branches))),
+        loads={bus: draw(power) for bus in loaded},
+        source=names[0],
+        v0=draw(st.floats(0.9, 1.1)),
+    )
+    gen = ComplexPower(draw(st.floats(-3.0, 8.0)), draw(st.floats(-6.0, 3.0)))
+    return model, {draw(st.sampled_from(names[1:])): gen}
 
 
 class TestModelValidation:
@@ -96,6 +224,34 @@ class TestModelValidation:
         b = load_feeder(bundled_feeder_path())
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_solver_tables_are_invisible(self):
+        a = parse_feeder(FEEDER_TEXT)
+        b = parse_feeder(FEEDER_TEXT)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "_pos" not in repr(a)
+
+    def test_solver_tables_are_not_arguments(self):
+        with pytest.raises(TypeError, match="_pos"):
+            FeederModel(buses=("a",), branches=(), loads={}, source="a", v0=1.0, _pos={})
+
+    def test_replace_rebuilds_solver_tables(self):
+        model = three_bus_model(load=ComplexPower(0.2, 0.05))
+        injections = {"e": ComplexPower(0.6, -0.1)}
+        for changes in ({"v0": 1.03}, {"loads": {"e": ComplexPower(0.1, 0.02)}}):
+            replaced = dataclasses.replace(model, **changes)
+            fresh = FeederModel(
+                **{f.name: getattr(replaced, f.name) for f in dataclasses.fields(model) if f.init}
+            )
+            assert replaced == fresh
+            assert outcome(solve_feeder, replaced, injections) == outcome(
+                solve_feeder, fresh, injections
+            )
+            assert outcome(solve_feeder, replaced, injections) != outcome(
+                solve_feeder, model, injections
+            )
 
     def test_loads_are_read_only(self):
         model = load_feeder(bundled_feeder_path())
@@ -265,6 +421,37 @@ class TestSolveFeeder:
         assume(abs(complex(s_t.p_t, s_t.q_t)) <= 0.9 * sol.vg_sq)
         res = solve_feeder(single_branch_model(z, v0=v0), {"g": sg})
         assert abs(res.voltages["g"]) ** 2 == pytest.approx(sol.vg_sq, abs=1e-8)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(radial_feeders())
+    def test_same_bits_as_textbook_loop(self, feeder):
+        model, injections = feeder
+        assert outcome(solve_feeder, model, injections) == outcome(
+            textbook_solve, model, injections
+        )
+
+    @pytest.mark.parametrize(
+        "sg, error",
+        [((0.5, -0.3), None), ((0.5, -3.0), "power flow stalled"),
+         ((0.0, -2.42), "power flow diverged")],
+    )
+    def test_single_branch_outcomes_match_textbook_loop(self, sg, error):
+        model = single_branch_model(Z45, v0=1.0)
+        injections = {"g": ComplexPower(*sg)}
+        got = outcome(solve_feeder, model, injections)
+        assert got == outcome(textbook_solve, model, injections)
+        if error is None:
+            assert got[0] is not ConvergenceError
+        else:
+            assert got[0] is ConvergenceError and got[1].startswith(error)
+
+    @pytest.mark.parametrize("bus", ["s", "zz"])
+    def test_rejected_injection_matches_textbook_loop(self, bus):
+        model = three_bus_model(load=ComplexPower(0.2, 0.05))
+        injections = {"e": ComplexPower(0.3, 0.0), bus: ComplexPower(0.1, 0.0)}
+        got = outcome(solve_feeder, model, injections)
+        assert got == outcome(textbook_solve, model, injections)
+        assert got == (DomainError, f"injection at unknown or source bus {bus!r}")
 
     def test_iteration_budget_respected(self, monkeypatch):
         monkeypatch.setattr(feederlimits.feeder, "_MAX_ITER", 2)

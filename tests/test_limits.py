@@ -68,6 +68,13 @@ class TestThermalLimit:
         with pytest.raises(ThermalLimitError):
             thermal_limit(case)
 
+    @pytest.mark.parametrize("i_plus", [1e10, 1e154, 1e200, 1e300, 1.7e308])
+    def test_huge_finite_ampacity_misses_voltage_locus(self, i_plus):
+        # the ampacity's square leaves the float range from about 1.3e154
+        case = TwoBusCase(v0=1.0, z=Impedance(0.5, 0.5), v_plus=1.06, i_plus=i_plus)
+        with pytest.raises(ThermalLimitError, match="does not intersect"):
+            thermal_limit(case)
+
     def test_negative_root_maximises_generated_power(self):
         p_t, q_neg = thermal_rotated_roots(UNIT_CASE)
         q_pos = -q_neg
