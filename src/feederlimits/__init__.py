@@ -35,11 +35,14 @@ from .limits import (
     OperatingPoint,
     TwoBusCase,
     binding_limit,
+    boundary_generation,
     lambda_prime,
+    locus_estimate,
     marginal_limit,
     marginal_transfer,
     metrics,
     thermal_limit,
+    upf_limit_generation,
 )
 from .sweep import (
     FrontierPoint,
@@ -47,7 +50,6 @@ from .sweep import (
     SweepErrors,
     SweepReport,
     frontier_curves,
-    locus_estimate,
     run_sweep,
 )
 from .twobus import (
@@ -56,7 +58,6 @@ from .twobus import (
     Impedance,
     RotatedPower,
     TwoBusSolution,
-    boundary_generation,
     boundary_power,
     discriminant,
     feasible,
@@ -64,7 +65,6 @@ from .twobus import (
     rotate,
     solve,
     unrotate,
-    upf_limit_generation,
     upf_limit_power,
 )
 

@@ -15,9 +15,10 @@ import sys
 
 from .errors import DomainError, FeederFileError, FeederLimitsError
 from .feeder import FeederModel, load_feeder, single_branch_model, two_bus_equivalent
-from .limits import OperatingPoint, TwoBusCase, binding_limit, marginal_limit
-from .sweep import SweepConfig, frontier_curves, run_sweep
-from .twobus import Impedance, boundary_generation, upf_limit_generation
+from .limits import (OperatingPoint, TwoBusCase, binding_limit, boundary_generation,
+                     marginal_limit, upf_limit_generation)
+from .sweep import _MAX_GRID_POINTS, SweepConfig, frontier_curves, run_sweep
+from .twobus import Impedance
 
 Outputs = list[tuple[str, str | None]]
 
@@ -143,10 +144,14 @@ def cmd_limits(args, parser) -> Outputs:
 
 
 def cmd_curves(args, parser) -> Outputs:
-    if args.lambda_min <= 0.0 or args.lambda_max < args.lambda_min:
-        parser.error("lambda range must satisfy 0 < min <= max")
-    if args.lambda_points < 1:
-        parser.error("--lambda-points must be >= 1")
+    # written so that NaN fails every comparison; checked before the grid is built
+    for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+        if not 0.0 < value < math.inf:
+            parser.error(f"{flag} must be positive and finite: {value!r}")
+    if args.lambda_max < args.lambda_min:
+        parser.error("--lambda-max must be >= --lambda-min")
+    if not 1 <= args.lambda_points <= _MAX_GRID_POINTS:
+        parser.error(f"--lambda-points must be between 1 and {_MAX_GRID_POINTS}")
     n = args.lambda_points
     if n == 1:
         lams = [args.lambda_min]

@@ -10,7 +10,8 @@ smaller of the two generated powers.
 Both limit points lie on the |Vg| = V+ locus, so each is set exactly there
 rather than re-solved: |Vg| = V+, rotated losses V0² + 2·P̃ − V+², and the
 high-voltage branch exactly when V+² ≥ P̃ + V0²/2, which at the marginal
-point means λ ≥ λ′.
+point means λ ≥ λ′.  The locus is the circle (P̃ − V+²)² + Q̃² = (V0·V+)²
+in the rotated plane; every other closed-form point on it is a line's first cut.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .twobus import (
     Impedance,
     RotatedPower,
     _require_line,
+    rotate,
     unrotate,
 )
 
@@ -129,18 +131,73 @@ def operating_point(sg_t: RotatedPower, case: TwoBusCase) -> OperatingPoint:
         losses_t * z.r / z_mag**2, losses_t * z.x / z_mag**2
     )
     s0 = sg - losses
+    current = math.sqrt(losses_t) / z_mag
+    # s0 is not finite when sg or the losses are not
+    if not (math.isfinite(s0.p) and math.isfinite(s0.q) and math.isfinite(current)):
+        raise DomainError(f"operating point leaves the float range: {case}")
     efficiency, pf_gen, pf_sub = metrics(sg, s0)
     return OperatingPoint(
         sg=sg,
         s0=s0,
         vg=case.v_plus,
-        current=math.sqrt(losses_t) / z_mag,
+        current=current,
         losses=losses,
         efficiency=efficiency,
         pf_gen=pf_gen,
         pf_sub=pf_sub,
         branch=branch,
     )
+
+
+def _locus_cut(v0: float, v_plus: float, at: RotatedPower, along: RotatedPower) -> float | None:
+    """Smallest t with at + t·along on the locus, or None: the root of a·t² + 2b·t + c = 0
+    for d = at − (V+², 0), a = |along|², b = d·along, c = |d|² − (V0·V+)², in the form
+    that does not cancel.  |d| − V0·V+ is summed as (|d| − V+²) + V+·(V+ − V0), so that
+    V+ close to V0 costs no digits."""
+    w = v_plus * v_plus
+    dp, dq = at.p_t - w, at.q_t
+    dist = math.hypot(dp, dq)
+    a = along.p_t * along.p_t + along.q_t * along.q_t
+    b = dp * along.p_t + dq * along.q_t
+    c = ((dist - w) + v_plus * (v_plus - v0)) * (dist + v0 * v_plus)
+    disc = b * b - a * c
+    if disc < 0.0:
+        return None
+    s = math.sqrt(disc)
+    return c / (s - b) if b < 0.0 else -(b + s) / a
+
+
+def locus_estimate(case: TwoBusCase, pg_net: float) -> OperatingPoint | None:
+    """Closed-form operating point on the |Vg| = V+ locus at a net generation.
+
+    Its reactive power is the lower-loss one that pins the generator voltage
+    at the limit.  None when the locus is unreachable at this generation.
+    """
+    z = case.z
+    qg = _locus_cut(case.v0, case.v_plus, rotate(ComplexPower(pg_net, 0.0), z),
+                    rotate(ComplexPower(0.0, 1.0), z))
+    return None if qg is None else operating_point(rotate(ComplexPower(pg_net, qg), z), case)
+
+
+def upf_limit_generation(z: Impedance, v0: float, v_plus: float) -> float:
+    """Generated power where unity-power-factor operation first hits V+.
+
+    NaN when no unity-power-factor generation lifts the voltage to V+,
+    which happens on near-reactive lines.
+    """
+    pg = _locus_cut(v0, v_plus, RotatedPower(0.0, 0.0), rotate(ComplexPower(1.0, 0.0), z))
+    return math.nan if pg is None else pg
+
+
+def boundary_generation(z: Impedance, v0: float, v_plus: float) -> float:
+    """Generated power on the solution boundary (zero discriminant) at |Vg| = V+.
+
+    It meets the locus where P̃ = V+² − V0²/2.  NaN when the boundary never
+    reaches V+, i.e. V+ < V0/2.
+    """
+    p_t = v_plus * v_plus - v0 * v0 / 2.0
+    q_t = _locus_cut(v0, v_plus, RotatedPower(p_t, 0.0), RotatedPower(0.0, 1.0))
+    return math.nan if q_t is None else unrotate(RotatedPower(p_t, q_t), z).p
 
 
 def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float]:
@@ -157,8 +214,14 @@ def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float]:
         # ampacity to compute it could raise OverflowError
         arg = -math.inf
     else:
-        p_t = 0.5 * (case.v_plus**2 - case.v0**2 + z_mag**2 * case.i_plus**2)
-        arg = (case.v_plus * case.i_plus * z_mag) ** 2 - p_t * p_t
+        try:
+            p_t = 0.5 * (case.v_plus**2 - case.v0**2 + z_mag**2 * case.i_plus**2)
+            arg = (case.v_plus * case.i_plus * z_mag) ** 2 - p_t * p_t
+        except OverflowError as exc:
+            # the point exists exactly when |V+ − V0| ≤ |Z|·I+ ≤ V+ + V0
+            if abs(case.v_plus - case.v0) <= z_mag * case.i_plus <= case.v_plus + case.v0:
+                raise DomainError(f"thermal limit squares leave the float range: {case}") from exc
+            arg = -math.inf
     if arg < 0.0:
         raise ThermalLimitError(
             "thermal limit does not intersect the voltage-limit locus "
@@ -211,6 +274,7 @@ def binding_limit(case: TwoBusCase) -> LimitReport:
     A current limit too generous to intersect the voltage-limit locus leaves
     no thermal point; the marginal limit then binds by default.
     """
+    lam_prime = lambda_prime(case.v0, case.v_plus)
     thermal_error = None
     try:
         thermal = thermal_limit(case)
@@ -226,7 +290,7 @@ def binding_limit(case: TwoBusCase) -> LimitReport:
         thermal=thermal,
         marginal=marginal,
         binding=binding,
-        lambda_prime=lambda_prime(case.v0, case.v_plus),
+        lambda_prime=lam_prime,
         thermal_error=thermal_error,
     )
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, NoFeasiblePointError
 from .feeder import FeederModel, solve_feeder, two_bus_equivalent
-from .limits import OperatingPoint, TwoBusCase, binding_limit, operating_point
-from .twobus import ComplexPower, RotatedPower
+from .limits import OperatingPoint, TwoBusCase, binding_limit, locus_estimate
+from .twobus import ComplexPower
 
 # feasibility slack so points sitting exactly on a limit survive rounding
 _LIMIT_SLACK = 1e-9
@@ -195,33 +195,6 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
         predicted_thermal=predicted_thermal,
         errors=errors,
     )
-
-
-def locus_estimate(case: TwoBusCase, pg_net: float) -> OperatingPoint | None:
-    """Closed-form operating point on the |Vg| = V+ locus at a net generation.
-
-    Solves for the reactive power that pins the generator voltage at the
-    limit, choosing the lower-loss root.  Returns None when the locus is
-    unreachable at this generation.
-    """
-    z = case.z
-    z_sq = z.r * z.r + z.x * z.x
-    w = case.v_plus**2
-    v0_sq = case.v0**2
-    if z.r == 0.0:
-        q_t = -z_sq * pg_net / z.x
-        arg = v0_sq * w - q_t * q_t
-        if arg < 0.0:
-            return None
-        p_t = w - math.sqrt(arg)
-    else:
-        c = z_sq * pg_net
-        disc = z_sq * v0_sq * w - (c - z.r * w) ** 2
-        if disc < 0.0:
-            return None
-        q_t = (-z.x * (c - z.r * w) - z.r * math.sqrt(disc)) / z_sq
-        p_t = (c + z.x * q_t) / z.r
-    return operating_point(RotatedPower(p_t, q_t), case)
 
 
 def frontier_curves(report: SweepReport) -> list[dict]:

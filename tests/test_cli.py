@@ -161,6 +161,32 @@ class TestLimitsCommand:
         assert report["binding"] == "marginal"
         assert "does not intersect" in report["thermal_error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--v0", "1e100", "--v-plus", "1e100", "--r", "0.5", "--x", "0.5",
+             "--i-plus", "1e110"],
+            ["--v0", "1", "--r", "1e-100", "--x", "1e-100", "--i-plus", "1e200"],
+        ],
+        ids=["huge-voltages", "huge-ampacity-tiny-line"],
+    )
+    def test_thermal_squares_past_float_range_leave_no_thermal_point(self, capsys, argv):
+        # |Z|·I+ is far past V+ + V0, although under the far-ampacity guard
+        code, report = run_json(capsys, ["limits"] + argv)
+        assert code == 0
+        assert report["thermal"] is None
+        assert report["thermal_error"] == (
+            "thermal limit does not intersect the voltage-limit locus (root argument -inf < 0)"
+        )
+
+    def test_unrepresentable_thermal_point_is_one_error_line(self, capsys):
+        code = main(["limits", "--v0", "1e100", "--v-plus", "1e100", "--r", "0.5", "--x", "0.5",
+                     "--i-plus", "1e100"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: thermal limit squares leave the float range")
+        assert err.count("\n") == 1
+
 
 class TestCurvesCommand:
     def test_single_point_matches_closed_form(self, capsys):
@@ -215,6 +241,21 @@ class TestCurvesCommand:
         with pytest.raises(SystemExit) as err:
             main(["curves", "--lambda-min", "-1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambda-min", "nan"), ("--lambda-min", "inf"), ("--lambda-max", "nan"),
+         ("--lambda-max", "inf"), ("--lambda-points", "0"),
+         ("--lambda-points", str(feederlimits.sweep._MAX_GRID_POINTS + 1))],
+    )
+    def test_bad_grid_is_one_usage_error_naming_the_flag(self, capsys, flag, value):
+        # the grid is checked before it is built, so the cap costs no memory
+        with pytest.raises(SystemExit) as err:
+            main(["curves", flag, value])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert lines[-1].startswith(f"feederlimits: error: {flag} must")
+        assert "Impedance" not in lines[-1]
 
 
 class TestSweepCommand:

@@ -7,19 +7,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from feederlimits.errors import DegenerateImpedanceError, DomainError, ThermalLimitError
+from feederlimits.errors import (
+    DegenerateImpedanceError,
+    DomainError,
+    FeederLimitsError,
+    ThermalLimitError,
+)
 from feederlimits.limits import (
     Limit,
     TwoBusCase,
     binding_limit,
+    boundary_generation,
     lambda_prime,
+    locus_estimate,
     marginal_limit,
     marginal_transfer,
     metrics,
     thermal_limit,
     thermal_rotated_roots,
+    upf_limit_generation,
 )
-from feederlimits.twobus import Branch, ComplexPower, Impedance, rotate, solve
+from feederlimits.twobus import Branch, ComplexPower, Impedance, discriminant, rotate, solve
 
 SQ2 = math.sqrt(2.0)
 UNIT_CASE = TwoBusCase(
@@ -255,6 +263,94 @@ class TestBindingLimit:
             p_gen.append(report.thermal.sg.p)
         binding = report.marginal if report.binding is Limit.MARGINAL else report.thermal
         assert binding.sg.p == min(p_gen)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestExtremeMagnitudes:
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        v0=_log_uniform(1e-150, 1e150),
+        v_plus=_log_uniform(1e-150, 1e150),
+        r=_log_uniform(1e-150, 1e150),
+        x=_log_uniform(1e-150, 1e150),
+        i_plus=_log_uniform(1e-150, 1e150),
+    )
+    def test_binding_limit_is_finite_or_refused(self, v0, v_plus, r, x, i_plus):
+        try:
+            report = binding_limit(TwoBusCase(v0=v0, z=Impedance(r, x), v_plus=v_plus,
+                                              i_plus=i_plus))
+        except FeederLimitsError:
+            return
+        assert math.isfinite(report.lambda_prime)
+        for point in (report.marginal, report.thermal):
+            if point is None:
+                continue
+            values = (point.sg.p, point.sg.q, point.s0.p, point.s0.q, point.vg, point.current,
+                      point.losses.p, point.losses.q, point.efficiency, point.pf_gen, point.pf_sub)
+            assert all(map(math.isfinite, values))
+
+    def test_operating_point_beyond_float_range_is_refused(self):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            marginal_limit(TwoBusCase(v0=1e150, z=Impedance(1e-150, 1e-150), v_plus=1e150,
+                                      i_plus=1.0))
+
+
+class TestLocusCut:
+    """The three closed-form points cut from the |Vg| = V+ circle by a line."""
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        lam=_log_uniform(1e-12, 1e12),
+        z_mag=_log_uniform(0.05, 5.0),
+        v0=st.floats(0.9, 1.1),
+        v_plus=st.floats(0.95, 1.15),
+        frac=st.floats(0.001, 0.999),
+    )
+    def test_estimate_lies_on_locus_at_requested_generation(self, lam, z_mag, v0, v_plus,
+                                                             frac):
+        case = case_with(lam, z_mag=z_mag, v0=v0, v_plus=v_plus)
+        z = case.z
+        # the generations for which a line of fixed P reaches the circle
+        lo = (v_plus**2 * z.r - z_mag * v0 * v_plus) / z_mag**2
+        hi = (v_plus**2 * z.r + z_mag * v0 * v_plus) / z_mag**2
+        pg = lo + frac * (hi - lo)
+        est = locus_estimate(case, pg)
+        assert est is not None
+        scale = est.sg.magnitude()
+        assert est.sg.p == pytest.approx(pg, abs=1e-12 * scale)
+        sol = solve(rotate(est.sg, z), v0, est.branch)
+        assert sol.vg_sq == pytest.approx(v_plus**2, rel=1e-9)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(lam=_log_uniform(1e-12, 1e12), v0=st.floats(0.9, 1.1), v_plus=st.floats(0.95, 1.15))
+    def test_unity_power_factor_point_lies_on_locus(self, lam, v0, v_plus):
+        z = case_with(lam).z
+        pg = upf_limit_generation(z, v0, v_plus)
+        assume(not math.isnan(pg))
+        sg_t = rotate(ComplexPower(pg, 0.0), z)
+        branch = Branch.HIGH_VOLTAGE if v_plus**2 >= sg_t.p_t + v0**2 / 2 else Branch.LOW_VOLTAGE
+        assert solve(sg_t, v0, branch).vg_sq == pytest.approx(v_plus**2, rel=1e-9)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(lam=_log_uniform(1e-12, 1e12), v0=st.floats(0.9, 1.1), v_plus=st.floats(0.95, 1.15))
+    def test_boundary_point_has_zero_discriminant(self, lam, v0, v_plus):
+        case = case_with(lam, v0=v0, v_plus=v_plus)
+        pg = boundary_generation(case.z, v0, v_plus)
+        est = locus_estimate(case, pg)
+        assert est is not None
+        assert discriminant(rotate(est.sg, case.z), v0) == pytest.approx(0.0, abs=1e-9)
+
+    def test_near_reactive_estimate_matches_reactive_line(self):
+        # dividing by R lost the 5th digit at r = 1e-12 and everything at 1e-16
+        for r in (1e-12, 1e-16):
+            for pg in (0.05, 0.1, 0.3):
+                near = locus_estimate(TwoBusCase(1.0, Impedance(r, 0.5), 1.06, math.inf), pg)
+                exact = locus_estimate(TwoBusCase(1.0, Impedance(0.0, 0.5), 1.06, math.inf), pg)
+                assert near.current == pytest.approx(exact.current, rel=1e-9)
+                assert near.sg.q == pytest.approx(exact.sg.q, rel=1e-9)
 
 
 class TestMetrics:

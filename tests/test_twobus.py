@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from feederlimits.errors import DegenerateImpedanceError, DomainError, NoSolutionError
+from feederlimits.limits import boundary_generation, upf_limit_generation
 from feederlimits.twobus import (
     Branch,
     ComplexPower,
     Impedance,
     RotatedPower,
-    boundary_generation,
     boundary_power,
     discriminant,
     feasible,
@@ -22,7 +22,6 @@ from feederlimits.twobus import (
     rotate,
     solve,
     unrotate,
-    upf_limit_generation,
     upf_limit_power,
 )
 
