@@ -6,7 +6,6 @@ classical heuristics (unity power factor, solution boundary) sit. Writes
 ratio_curves.csv next to this script.
 """
 
-import math
 import os
 
 import numpy as np
@@ -25,8 +24,7 @@ V0, V_PLUS, Z_MAG = 1.0, 1.06, 1.0
 lams = np.logspace(-3, 3, 121)
 rows = []
 for lam in lams:
-    scale = math.sqrt(1.0 + lam * lam)
-    z = Impedance(Z_MAG * lam / scale, Z_MAG / scale)
+    z = Impedance.from_ratio(lam, Z_MAG)
     case = TwoBusCase(v0=V0, z=z, v_plus=V_PLUS, i_plus=1.0)
     point = marginal_limit(case)
     rows.append((lam, point.sg.p, point.s0.p, boundary_power(z, V0, V_PLUS),
@@ -43,15 +41,12 @@ print("wrote", out)
 crossover = lambda_prime(V0, V_PLUS)
 print("branch crossover ratio lambda' = %.5f" % crossover)
 
-mid = TwoBusCase(v0=V0, z=Impedance(1 / math.sqrt(2), 1 / math.sqrt(2)),
-                 v_plus=V_PLUS, i_plus=1.0)
+mid = TwoBusCase(v0=V0, z=Impedance.from_ratio(1.0), v_plus=V_PLUS, i_plus=1.0)
 print("worst-case efficiency near R/X = 1: %.4f" % marginal_limit(mid).efficiency)
 print("transfer there: %.4f pu (closed form %.4f)"
       % (marginal_limit(mid).s0.p, marginal_transfer(mid)))
 
 # efficiency recovers toward both extremes
 for lam in (0.01, 100.0):
-    scale = math.sqrt(1.0 + lam * lam)
-    case = TwoBusCase(v0=V0, z=Impedance(lam / scale, 1 / scale),
-                      v_plus=V_PLUS, i_plus=1.0)
+    case = TwoBusCase(v0=V0, z=Impedance.from_ratio(lam), v_plus=V_PLUS, i_plus=1.0)
     print("efficiency at R/X = %-6g: %.4f" % (lam, marginal_limit(case).efficiency))

@@ -6,12 +6,10 @@ cap) and the marginal limit (incremental losses eat incremental
 generation), then show which one binds as the ampacity varies.
 """
 
-import math
-
 from feederlimits import Impedance, TwoBusCase, binding_limit
 
 # a lossy rural-style line: R/X = 1, one per-unit ohm total
-z = Impedance(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+z = Impedance.from_ratio(1.0)
 
 print("line: r=%.5f x=%.5f  |Z|=%.3f  R/X=%.2f" % (z.r, z.x, z.magnitude(), z.lam()))
 print("source voltage 1.00 pu, generator voltage cap 1.06 pu")

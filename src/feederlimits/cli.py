@@ -158,11 +158,9 @@ def cmd_curves(args, parser) -> Outputs:
     else:
         lo, hi = math.log(args.lambda_min), math.log(args.lambda_max)
         lams = [math.exp(lo + k * (hi - lo) / (n - 1)) for k in range(n)]
-    z_mag = args.z_mag
     rows = []
     for lam in lams:
-        scale = math.sqrt(1.0 + lam * lam)
-        z = Impedance(z_mag * lam / scale, z_mag / scale)
+        z = Impedance.from_ratio(lam, args.z_mag)
         case = TwoBusCase(v0=args.v0, z=z, v_plus=args.v_plus, i_plus=1.0)
         point = marginal_limit(case)
         rows.append(

@@ -245,8 +245,8 @@ def marginal_limit(case: TwoBusCase) -> OperatingPoint:
     """
     z = case.z
     z_mag = z.magnitude()
-    cos_term = z.r / z_mag  # lambda / sqrt(1 + lambda^2)
-    sin_term = z.x / z_mag  # 1 / sqrt(1 + lambda^2)
+    cos_term = z.r / z_mag  # lambda / hypot(1, lambda)
+    sin_term = z.x / z_mag  # 1 / hypot(1, lambda)
     p_t = case.v_plus * (case.v_plus - case.v0 * cos_term)
     q_t = -case.v0 * case.v_plus * sin_term
     return operating_point(RotatedPower(p_t, q_t), case)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateImpedanceError, DomainError, NoSolutionError
@@ -18,6 +19,8 @@ from .errors import DegenerateImpedanceError, DomainError, NoSolutionError
 # Discriminants in [-DISCRIMINANT_SLACK, 0) are treated as exactly zero so
 # that points sitting on the solution boundary survive rounding.
 DISCRIMINANT_SLACK = 1e-12
+
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,12 @@ class Impedance:
         # written so that NaN fails every comparison
         if not (0.0 <= self.r < math.inf and 0.0 <= self.x < math.inf):
             raise DomainError(f"impedance components must be non-negative finite numbers: {self}")
+
+    @classmethod
+    def from_ratio(cls, lam: float, z_mag: float = 1.0) -> "Impedance":
+        """Line of magnitude ``z_mag`` and R/X ratio ``lam``; the inverse of :meth:`lam`."""
+        s = math.hypot(1.0, lam)  # never squares lam: finite for every finite lam
+        return cls(z_mag * (lam / s), z_mag / s)
 
     def magnitude(self) -> float:
         return math.hypot(self.r, self.x)
@@ -93,14 +102,18 @@ class TwoBusSolution:
     branch: Branch
 
 
-def _require_line(z: Impedance):
-    # the formulas divide by r² + x², which leaves the float range for |Z|
-    # below about 1e-162 or above about 1e154 although |Z| itself does not
+def _require_line(z: Impedance) -> float:
+    # returns r² + x², which the formulas divide by; it leaves the normal float
+    # range (a subnormal one loses digits) for |Z| below about 1.5e-154 or
+    # above about 1.3e154 although |Z| itself does not
     z_sq = z.r * z.r + z.x * z.x
-    if z_sq == 0.0:
+    if z_sq < _MIN_NORMAL:
+        if z.r or z.x:
+            raise DomainError(f"impedance magnitude squared underflows: {z}")
         raise DegenerateImpedanceError("impedance magnitude must be positive")
     if z_sq == math.inf:
         raise DomainError(f"impedance magnitude squared overflows: {z}")
+    return z_sq
 
 
 def rotate(s: ComplexPower, z: Impedance) -> RotatedPower:
@@ -111,8 +124,7 @@ def rotate(s: ComplexPower, z: Impedance) -> RotatedPower:
 
 def unrotate(s_t: RotatedPower, z: Impedance) -> ComplexPower:
     """Inverse of :func:`rotate`: divide by Z*."""
-    _require_line(z)
-    z_sq = z.r * z.r + z.x * z.x
+    z_sq = _require_line(z)
     return ComplexPower(
         (s_t.p_t * z.r - s_t.q_t * z.x) / z_sq,
         (s_t.q_t * z.r + s_t.p_t * z.x) / z_sq,
@@ -160,9 +172,8 @@ def net_power_transferred(
     ``vg_sq`` must be the squared voltage solving the circuit for ``sg``;
     the rotated loss scalar is then V0² + 2·P̃g − |Vg|².
     """
-    _require_line(z)
+    z_sq = _require_line(z)
     p_t = sg.p * z.r + sg.q * z.x
-    z_sq = z.r * z.r + z.x * z.x
     return sg.p - (z.r / z_sq) * (v0 * v0 + 2.0 * p_t - vg_sq)
 
 

@@ -122,6 +122,14 @@ class TestLimitsCommand:
         assert code == 1
         assert "impedance magnitude" in capsys.readouterr().err
 
+    def test_tiny_impedance_is_not_a_zero_line(self, capsys):
+        # |Z| = 1.4e-200 is positive, but r² + x² underflows to 0
+        code = main(["limits", "--v0", "1", "--r", "1e-200", "--x", "1e-200", "--i-plus", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: impedance magnitude squared underflows: Impedance(r=1e-200, x=1e-200)\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--v0", "--r", "--i-plus", "--v-plus"])
     def test_nan_input_is_usage_error(self, capsys, flag):
         # an infinite --i-plus is an unbounded ampacity, not bad input
@@ -133,20 +141,16 @@ class TestLimitsCommand:
             assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "overrides, expected",
-        [
-            ({"--v0": "1e300"}, 2),
-            ({"--v-plus": "1e300"}, 2),
-            ({"--r": "1e300"}, 2),
-            ({"--r": "1e-300", "--x": "1e-300"}, 1),
-        ],
-        ids=["huge-v0", "huge-v-plus", "huge-r", "tiny-z"],
+        "overrides",
+        [{"--v0": "1e300"}, {"--v-plus": "1e300"}, {"--r": "1e300"},
+         {"--r": "1e-300", "--x": "1e-300"}, {"--r": "1e-161", "--x": "1e-161"}],
+        ids=["huge-v0", "huge-v-plus", "huge-r", "tiny-z", "subnormal-z-squared"],
     )
-    def test_extreme_finite_input_is_one_error_line(self, capsys, overrides, expected):
-        # finite values whose squares leave the float range
+    def test_extreme_finite_input_is_one_error_line(self, capsys, overrides):
+        # finite values whose squares leave the normal float range
         argv = {"--v0": "1", "--r": "0.5", "--x": "0.5", "--i-plus": "1"} | overrides
         code = main(["limits"] + [tok for pair in argv.items() for tok in pair])
-        assert code == expected
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -236,6 +240,36 @@ class TestCurvesCommand:
             else:
                 assert pg_upf <= pg_marginal + 1e-9
             assert not math.isnan(pg_bdry)
+
+    def test_z_mag_scales_powers_exactly(self, monkeypatch):
+        # doubling |Z| doubles r and x exactly, which halves every power and
+        # leaves the ratios alone, bit for bit
+        rendered = []
+        monkeypatch.setattr(cli, "_render", lambda args, doc, rows: rendered.append(rows) or "")
+        grid = ["--lambda-min", "0.01", "--lambda-max", "100", "--lambda-points", "41"]
+        assert main(["curves", *grid]) == 0
+        assert main(["curves", *grid, "--z-mag", "2"]) == 0
+        unit, double = rendered
+        assert len(unit) == len(double) == 41
+        for one, two in zip(unit, double):
+            assert two["lambda"] == one["lambda"]
+            for key in ("pg_marginal", "pg_upf", "pg_bdry", "p0_marginal"):
+                assert two[key] == one[key] / 2 or math.isnan(two[key]) and math.isnan(one[key])
+            for key in ("efficiency", "pf_gen", "pf_sub"):
+                assert two[key] == one[key]
+
+    @pytest.mark.parametrize("lambda_max", ["1e200", "1.7e308"])
+    def test_huge_ratio_gives_finite_rows(self, capsys, lambda_max):
+        # λ² overflows beyond about 1.3e154; the line must not collapse to zero
+        code = main(["curves", "--lambda-max", lambda_max, "--lambda-points", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 4
+        for line in lines[1:]:
+            lam, pg_marginal, pg_upf, *rest = map(float, line.split(","))
+            # at λ = 0.01 unity power factor never reaches V+, so pg_upf is nan there
+            assert lam == 0.01 and math.isnan(pg_upf) or math.isfinite(pg_upf)
+            assert all(map(math.isfinite, [lam, pg_marginal, *rest]))
 
     def test_invalid_range_rejected(self):
         with pytest.raises(SystemExit) as err:

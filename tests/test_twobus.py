@@ -61,6 +61,20 @@ class TestImpedance:
             with pytest.raises(DomainError):
                 Impedance(r, x)
 
+    def test_from_ratio_of_one_is_the_hand_built_line(self):
+        assert Impedance.from_ratio(1.0) == Z45
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        lam=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        z_mag=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    )
+    def test_from_ratio_round_trips(self, lam, z_mag):
+        z = Impedance.from_ratio(lam, z_mag)
+        assert 0.0 <= z.r < math.inf and 0.0 <= z.x < math.inf
+        assert z.magnitude() == pytest.approx(z_mag, rel=1e-15)
+        assert z.lam() == pytest.approx(lam, rel=1e-15)
+
 
 class TestRotate:
     def test_identity_impedance(self):
@@ -80,6 +94,12 @@ class TestRotate:
     def test_zero_impedance_rejected(self):
         with pytest.raises(DegenerateImpedanceError):
             rotate(ComplexPower(1.0, 0.0), Impedance(0.0, 0.0))
+
+    # r² + x² is 0 or subnormal: dividing by it would lose digits or overflow
+    @pytest.mark.parametrize("r, x", [(1e-200, 0.0), (1e-161, 1e-161)])
+    def test_underflowing_impedance_is_not_zero(self, r, x):
+        with pytest.raises(DomainError, match="impedance magnitude squared underflows"):
+            rotate(ComplexPower(1.0, 0.0), Impedance(r, x))
 
 
 class TestUnrotate:
