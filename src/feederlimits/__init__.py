@@ -17,6 +17,7 @@ from .errors import (
     NoSolutionError,
     ThermalLimitError,
     TopologyError,
+    VoltageLimitError,
 )
 from .feeder import (
     BranchSpec,

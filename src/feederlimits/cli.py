@@ -145,7 +145,8 @@ def cmd_limits(args, parser) -> Outputs:
 
 def cmd_curves(args, parser) -> Outputs:
     # written so that NaN fails every comparison; checked before the grid is built
-    for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+    for flag, value in (("--z-mag", args.z_mag), ("--lambda-min", args.lambda_min),
+                        ("--lambda-max", args.lambda_max)):
         if not 0.0 < value < math.inf:
             parser.error(f"{flag} must be positive and finite: {value!r}")
     if args.lambda_max < args.lambda_min:

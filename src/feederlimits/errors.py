@@ -22,7 +22,28 @@ class ThermalLimitError(FeederLimitsError):
 
 
 class ConvergenceError(FeederLimitsError):
-    """The iterative feeder solver failed to converge."""
+    """The iterative feeder solver failed to converge.
+
+    ``kind`` says how: "stalled", "diverged" or "capped" (the sweep budget
+    ran out); ``iterations`` counts the sweeps taken.  Both are None when
+    the error does not come from the solver.
+    """
+
+    def __init__(self, message, kind=None, iterations=None):
+        super().__init__(message)
+        self.kind = kind
+        self.iterations = iterations
+
+
+class VoltageLimitError(FeederLimitsError):
+    """The feeder solver proved that the power flow breaks a voltage cap.
+
+    ``iterations`` counts the sweeps taken before the proof.
+    """
+
+    def __init__(self, message, iterations=None):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class TopologyError(FeederLimitsError):

@@ -14,7 +14,8 @@ import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import ConvergenceError, DomainError, FeederFileError, TopologyError
+from .errors import (ConvergenceError, DomainError, FeederFileError, TopologyError,
+                     VoltageLimitError)
 from .limits import TwoBusCase
 from .twobus import ComplexPower, Impedance
 
@@ -72,6 +73,8 @@ class FeederModel:
     )
     # (from, to) of the branch feeding bus k, for k = 1, 2, ...
     _branch_keys: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    # |z| of the branch feeding bus k (0 at the source), for the voltage-cap proof
+    _z_abs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", types.MappingProxyType(dict(self.loads)))
@@ -102,6 +105,7 @@ class FeederModel:
             "_backward": k_parent[::-1],
             "_forward": tuple((k, p, in_branch[k].z.as_complex()) for k, p in k_parent),
             "_branch_keys": tuple((br.from_bus, br.to_bus) for br in in_branch[1:]),
+            "_z_abs": (0.0, *(br.z.magnitude() for br in in_branch[1:])),
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -165,7 +169,10 @@ class PowerFlowResult:
 
 
 def solve_feeder(
-    model: FeederModel, injections: dict[str, ComplexPower] | None = None
+    model: FeederModel,
+    injections: dict[str, ComplexPower] | None = None,
+    *,
+    v_cap: float = math.inf,
 ) -> PowerFlowResult:
     """Backward/forward sweep power flow.
 
@@ -180,6 +187,17 @@ def solve_feeder(
     16.  That is the same per-sweep threshold as a factor ¼ over 32 sweeps,
     about 0.958, and slower contraction could not reach the tolerance
     within the budget.
+
+    With a finite ``v_cap`` it raises :class:`VoltageLimitError` once it
+    proves that every later iterate has some |V_k| > v_cap.  Let y = T(x) be
+    the latest sweep, δ = max_k |y_k − x_k|, c_j the consumption at bus j.
+    On the ball B(y, ρ) every |V_j| ≥ m_j = |y_j| − ρ, so the sweep map's
+    max-norm Lipschitz constant there is at most
+    L = max_k Σ_{b on path(k)} |z_b|·Σ_{j at or below b} |c_j|/m_j².
+    For a radius r, ρ = max(r, δ) makes the ball hold x; if then
+    L·(r + δ) + ε ≤ r (ε for rounding), T maps B(y, r) into itself, so every
+    later |V_k| ≥ |y_k| − r.  It rejects when max_k |y_k| − r > v_cap.  A
+    point it keeps runs the same arithmetic whatever ``v_cap`` is.
     """
     # consumption = load - generation, per bus in BFS order
     cons = list(model._cons)
@@ -197,7 +215,7 @@ def solve_feeder(
     v_collapse, v_blowup, tol = _V_COLLAPSE, _V_BLOWUP, _TOL
     v0 = complex(model.v0, 0.0)
     volt = [v0] * n
-    delta = math.inf
+    delta = last_delta = retest = math.inf
     for iterations in range(1, _MAX_ITER + 1):
         flow = [0j] * n
         for k, p in backward:
@@ -205,15 +223,21 @@ def solve_feeder(
             flow[k] = i_k
             flow[p] += i_k
         delta = 0.0
+        v_max = 0.0
         for k, p, z in forward:
             v = volt[p] - z * flow[k]
             d = abs(v - volt[k])
             if d > delta:
                 delta = d
             volt[k] = v
+            a = abs(v)
+            if a > v_max:
+                v_max = a
             # NaN fails this check too
-            if not v_collapse <= abs(v) <= v_blowup:
-                raise ConvergenceError(f"power flow diverged after {iterations} iterations")
+            if not v_collapse <= a <= v_blowup:
+                raise ConvergenceError(
+                    f"power flow diverged after {iterations} iterations", "diverged", iterations
+                )
         if delta < tol:
             break
         # stall rule: each 8-sweep window from sweep 1 shrinks delta by 1/√2;
@@ -224,13 +248,31 @@ def solve_feeder(
             if delta > checkpoint * _STALL:
                 raise ConvergenceError(
                     f"power flow stalled after {iterations} iterations "
-                    f"(voltage change {delta:.3e})"
+                    f"(voltage change {delta:.3e})",
+                    "stalled",
+                    iterations,
                 )
             checkpoint = delta
+        # try the cap proof only when contraction at the rate rho = δ_i/δ_{i-1}
+        # would stay above the cap, and after a failed proof not before δ halves
+        if v_max > v_cap and delta <= retest:
+            rho = delta / last_delta
+            if rho < 1.0 and v_max - v_cap > delta * (1.0 + 2.0 * rho / (1.0 - rho)):
+                floor = _voltage_floor(model, cons, volt, delta, v_max, v_cap)
+                if floor is not None:
+                    raise VoltageLimitError(
+                        f"power flow rejected after {iterations} iterations "
+                        f"(some |V| stays above {floor:.6g} > {v_cap:.6g})",
+                        iterations,
+                    )
+                retest = 0.5 * delta
+        last_delta = delta
     else:
         raise ConvergenceError(
             f"power flow did not converge in {_MAX_ITER} iterations "
-            f"(last voltage change {delta:.3e})"
+            f"(last voltage change {delta:.3e})",
+            "capped",
+            _MAX_ITER,
         )
 
     # the backward sweep sums the currents leaving the source into flow[0]
@@ -241,6 +283,42 @@ def solve_feeder(
         s0_sub=ComplexPower(s0.real, s0.imag),
         iterations=iterations,
     )
+
+
+def _voltage_floor(model, cons, volt, delta, v_max, v_cap):
+    """max|y| − r when the ball B(y, r) around the iterate ``volt`` provably
+    holds every later iterate and max|y| − r > v_cap; None otherwise.
+
+    ``delta`` is the iterate's change from the one before; solve_feeder's
+    docstring gives the argument.
+    """
+    mags = [abs(v) for v in volt]
+    weights = [abs(c) for c in cons]
+    eps = 1e-12 * (1.0 + v_max)
+    backward, forward, z_abs = model._backward, model._forward, model._z_abs
+
+    def lipschitz(radius):
+        # w[k]: Σ |c_j|/m_j² over the buses j at or below k, m_j shrunk by eps
+        w = [0.0] * len(volt)
+        for k, p in backward:
+            if weights[k]:
+                m = mags[k] - radius - eps
+                if not m > 0.0:
+                    return math.inf
+                w[k] += weights[k] / (m * m)
+            w[p] += w[k]
+        path = [0.0] * len(volt)
+        for k, p, _ in forward:
+            path[k] = path[p] + z_abs[k] * w[k]
+        return max(path)
+
+    l0 = lipschitz(0.0)
+    if not l0 < 1.0:
+        return None
+    r = min(0.9 * (v_max - v_cap), 2.0 * l0 * delta / (1.0 - l0))
+    if lipschitz(max(r, delta)) * (r + delta) + eps <= r and v_max - r > v_cap:
+        return v_max - r
+    return None
 
 
 def thevenin_impedance(model: FeederModel, bus: str) -> Impedance:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, NoFeasiblePointError
+from .errors import ConvergenceError, DomainError, NoFeasiblePointError, VoltageLimitError
 from .feeder import FeederModel, solve_feeder, two_bus_equivalent
 from .limits import OperatingPoint, TwoBusCase, binding_limit, locus_estimate
 from .twobus import ComplexPower
@@ -121,12 +121,14 @@ def best_reactive_point(model, bus, p, q_values, v_plus, p_plus):
     magnitude.  Returns None when no grid point is feasible.
     """
     best = None
+    v_cap = v_plus + _LIMIT_SLACK
     for q in q_values:
         try:
-            res = solve_feeder(model, {bus: ComplexPower(p, q)})
-        except ConvergenceError:
+            # a point the solver proves over the cap is dropped before it converges
+            res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=v_cap)
+        except (ConvergenceError, VoltageLimitError):
             continue
-        if any(abs(v) > v_plus + _LIMIT_SLACK for v in res.voltages.values()):
+        if any(abs(v) > v_cap for v in res.voltages.values()):
             continue
         violated = False
         for br in model.branches:

@@ -25,6 +25,7 @@ from feederlimits.errors import (
     NoSolutionError,
     ThermalLimitError,
     TopologyError,
+    VoltageLimitError,
 )
 
 FEEDER = str(bundled_feeder_path())
@@ -280,6 +281,7 @@ class TestCurvesCommand:
         "flag, value",
         [("--lambda-min", "nan"), ("--lambda-min", "inf"), ("--lambda-max", "nan"),
          ("--lambda-max", "inf"), ("--lambda-points", "0"),
+         ("--z-mag", "0"), ("--z-mag", "-1"), ("--z-mag", "nan"), ("--z-mag", "inf"),
          ("--lambda-points", str(feederlimits.sweep._MAX_GRID_POINTS + 1))],
     )
     def test_bad_grid_is_one_usage_error_naming_the_flag(self, capsys, flag, value):
@@ -575,6 +577,7 @@ EXIT_CODES = {
     DomainError: 2,
     ThermalLimitError: 1,
     ConvergenceError: 1,
+    VoltageLimitError: 1,
     TopologyError: 1,
     FeederFileError: 2,
     NoFeasiblePointError: 1,
@@ -587,7 +590,7 @@ COMMANDS = {
 }
 
 
-@settings(derandomize=True, database=None, max_examples=50)
+@settings(max_examples=50)
 @given(
     error=st.sampled_from(sorted(_error_classes(), key=lambda cls: cls.__name__)),
     command=st.sampled_from(sorted(COMMANDS)),

@@ -1,6 +1,7 @@
 """Tests for the radial feeder model, solver and two-bus equivalencing."""
 
 import dataclasses
+import functools
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from feederlimits.errors import (
     DomainError,
     FeederFileError,
     TopologyError,
+    VoltageLimitError,
 )
 from feederlimits.feeder import (
     _MAX_ITER,
@@ -28,6 +30,7 @@ from feederlimits.feeder import (
     parse_feeder,
     single_branch_model,
     solve_feeder,
+    _voltage_floor,
     thevenin_impedance,
     two_bus_equivalent,
 )
@@ -397,7 +400,7 @@ class TestSolveFeeder:
             with pytest.raises(ConvergenceError, match="stalled after 8 iterations"):
                 solve_feeder(model, {"g": sg})
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         log_lam=st.floats(-1.5, 1.5),
         z_mag=st.floats(0.01, 3.0),
@@ -422,7 +425,7 @@ class TestSolveFeeder:
         res = solve_feeder(single_branch_model(z, v0=v0), {"g": sg})
         assert abs(res.voltages["g"]) ** 2 == pytest.approx(sol.vg_sq, abs=1e-8)
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(radial_feeders())
     def test_same_bits_as_textbook_loop(self, feeder):
         model, injections = feeder
@@ -444,6 +447,13 @@ class TestSolveFeeder:
             assert got[0] is not ConvergenceError
         else:
             assert got[0] is ConvergenceError and got[1].startswith(error)
+            # the attributes name what the text says
+            with pytest.raises(ConvergenceError) as err:
+                solve_feeder(model, injections)
+            assert got[1].startswith(
+                f"power flow {err.value.kind} after {err.value.iterations} iterations"
+            )
+            assert error.endswith(err.value.kind)
 
     @pytest.mark.parametrize("bus", ["s", "zz"])
     def test_rejected_injection_matches_textbook_loop(self, bus):
@@ -456,8 +466,71 @@ class TestSolveFeeder:
     def test_iteration_budget_respected(self, monkeypatch):
         monkeypatch.setattr(feederlimits.feeder, "_MAX_ITER", 2)
         model = single_branch_model(Impedance(0.01, 0.02), v0=1.0)
-        with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
+        with pytest.raises(ConvergenceError, match="did not converge in 2 iterations") as err:
             solve_feeder(model, {"g": ComplexPower(0.5, 0.0)})
+        assert (err.value.kind, err.value.iterations) == ("capped", 2)
+
+    def test_voltage_cap_stops_over_voltage_point_early(self):
+        # a criterion-4 grid point that converges far above V+ = 1.06
+        model = single_branch_model(Z45, v0=1.0, ampacity=0.9)
+        injections = {"g": ComplexPower(1.23, 2.1)}
+        res = solve_feeder(model, injections)
+        assert res.iterations == 43
+        assert abs(res.voltages["g"]) == pytest.approx(2.085, abs=1e-3)
+        with pytest.raises(VoltageLimitError) as err:
+            solve_feeder(model, injections, v_cap=1.06 + 1e-9)
+        assert err.value.iterations <= 12
+        assert str(err.value).startswith(
+            f"power flow rejected after {err.value.iterations} iterations ("
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(radial_feeders(), st.integers(1, 40), st.floats(0.0, 0.3))
+    def test_voltage_floor_holds_for_every_later_sweep(self, feeder, start, cut):
+        # the bound on its own, at any sweep and without the solver's gate:
+        # a floor it proves must hold for every sweep after it
+        model, injections = feeder
+        cons = list(model._cons)
+        for bus, s in injections.items():
+            cons[model._pos[bus]] -= s.as_complex()
+
+        def sweep(volt):
+            flow = [0j] * len(volt)
+            for k, p in model._backward:
+                flow[k] += (cons[k] / volt[k]).conjugate()
+                flow[p] += flow[k]
+            new = list(volt)
+            for k, p, z in model._forward:
+                new[k] = new[p] - z * flow[k]
+            return new, max(abs(v) for v in new[1:])
+
+        y = [complex(model.v0, 0.0)] * len(cons)
+        for _ in range(start):
+            x, (y, v_max) = y, sweep(y)
+            # the solver would have stopped here
+            assume(all(_V_COLLAPSE <= abs(v) <= _V_BLOWUP for v in y))
+        delta = max(abs(a - b) for a, b in zip(x[1:], y[1:]))
+        floor = _voltage_floor(model, cons, y, delta, v_max, v_max * (1.0 - cut))
+        if floor is not None:
+            for _ in range(200):
+                y, v_max = sweep(y)
+                assert v_max >= floor
+
+    @settings(max_examples=300, deadline=None)
+    @given(radial_feeders(), st.floats(0.9, 1.4))
+    def test_voltage_cap_keeps_bits_or_proves_the_breach(self, feeder, v_cap):
+        model, injections = feeder
+        uncapped = outcome(solve_feeder, model, injections)
+        capped = functools.partial(solve_feeder, v_cap=v_cap)
+        try:
+            got = outcome(capped, model, injections)
+        except VoltageLimitError:
+            # the uncapped sweep fails or ends above the cap
+            assert uncapped[0] is ConvergenceError or max(
+                abs(v) for _, v in uncapped[0]
+            ) > v_cap
+        else:
+            assert got == uncapped
 
 
 class TestTheveninImpedance:

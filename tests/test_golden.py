@@ -1,8 +1,8 @@
 """CLI output stays fixed: each command writes the bytes recorded in tests/golden/.
 
-The sweep frontier CSV is left out on purpose: its closed-form estimate
-columns may move in the last digit when the locus algebra changes.
-Regenerate after an intended output change with
+Of a sweep's frontier CSV only the measured columns are recorded: its
+closed-form estimate columns may move in the last digit when the locus
+algebra changes.  Regenerate after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -43,10 +43,36 @@ CASES = {
     ],
 }
 
+# measured frontier columns of a sweep, from the CLI's <name>.frontier.csv
+MEASURED = ("p_gen", "p0_sub", "max_current", "q_gen", "vg")
+FRONTIERS = {
+    "frontier-feeder12-bus12-coarse.csv": CASES["sweep-feeder12-bus12-coarse.json"],
+    # the criterion-4 window on a coarser step
+    "frontier-inline-criterion4.csv": [
+        "sweep", *INLINE, "--i-plus", "0.9",
+        "--p-min", "0", "--p-max", "4", "--p-step", "0.1",
+        "--q-min", "-4", "--q-max", "4", "--q-step", "0.1",
+    ],
+}
+
 
 def _write(name: str, directory: Path) -> Path:
     path = directory / name
     assert main(CASES[name] + ["--out", str(path)]) == 0
+    return path
+
+
+def _write_frontier(name: str, directory: Path) -> Path:
+    summary = directory / "frontier-summary.json"
+    assert main(FRONTIERS[name] + ["--out", str(summary)]) == 0
+    frontier = directory / "frontier-summary.frontier.csv"
+    rows = [line.split(",") for line in frontier.read_text(encoding="ascii").splitlines()]
+    keep = [rows[0].index(column) for column in MEASURED]
+    path = directory / name
+    path.write_text("".join(",".join(row[k] for k in keep) + "\n" for row in rows),
+                    encoding="ascii", newline="")
+    summary.unlink()
+    frontier.unlink()
     return path
 
 
@@ -55,10 +81,17 @@ def test_output_matches_golden(name, tmp_path):
     assert _write(name, tmp_path).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(FRONTIERS))
+def test_measured_frontier_matches_golden(name, tmp_path):
+    assert _write_frontier(name, tmp_path).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
         _write(case, GOLDEN)
+    for case in sorted(FRONTIERS):
+        _write_frontier(case, GOLDEN)
     # the sweep's frontier file is not part of the record
     for frontier in GOLDEN.glob("*.frontier.csv"):
         frontier.unlink()

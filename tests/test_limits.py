@@ -191,7 +191,7 @@ class TestBranchOfMarginalPoint:
         case = TwoBusCase(v0=1.0, z=Impedance(lam_c, 1.0), v_plus=1.06, i_plus=1.0)
         assert marginal_limit(case).branch is Branch.HIGH_VOLTAGE
 
-    @settings(derandomize=True, database=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         lam=st.floats(0.05, 20.0),
         z_mag=st.floats(0.05, 2.0),
@@ -245,7 +245,7 @@ class TestBindingLimit:
         report = binding_limit(UNIT_CASE)
         assert report.lambda_prime == pytest.approx(lambda_prime(1.0, 1.06))
 
-    @settings(derandomize=True, database=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         lam=st.floats(0.05, 20.0),
         z_mag=st.floats(0.05, 2.0),
@@ -270,7 +270,7 @@ def _log_uniform(lo: float, hi: float):
 
 
 class TestExtremeMagnitudes:
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         v0=_log_uniform(1e-150, 1e150),
         v_plus=_log_uniform(1e-150, 1e150),
@@ -301,7 +301,7 @@ class TestExtremeMagnitudes:
 class TestLocusCut:
     """The three closed-form points cut from the |Vg| = V+ circle by a line."""
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         lam=_log_uniform(1e-12, 1e12),
         z_mag=_log_uniform(0.05, 5.0),
@@ -324,7 +324,7 @@ class TestLocusCut:
         sol = solve(rotate(est.sg, z), v0, est.branch)
         assert sol.vg_sq == pytest.approx(v_plus**2, rel=1e-9)
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(lam=_log_uniform(1e-12, 1e12), v0=st.floats(0.9, 1.1), v_plus=st.floats(0.95, 1.15))
     def test_unity_power_factor_point_lies_on_locus(self, lam, v0, v_plus):
         z = case_with(lam).z
@@ -334,7 +334,7 @@ class TestLocusCut:
         branch = Branch.HIGH_VOLTAGE if v_plus**2 >= sg_t.p_t + v0**2 / 2 else Branch.LOW_VOLTAGE
         assert solve(sg_t, v0, branch).vg_sq == pytest.approx(v_plus**2, rel=1e-9)
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(lam=_log_uniform(1e-12, 1e12), v0=st.floats(0.9, 1.1), v_plus=st.floats(0.95, 1.15))
     def test_boundary_point_has_zero_discriminant(self, lam, v0, v_plus):
         case = case_with(lam, v0=v0, v_plus=v_plus)

@@ -64,7 +64,7 @@ class TestImpedance:
     def test_from_ratio_of_one_is_the_hand_built_line(self):
         assert Impedance.from_ratio(1.0) == Z45
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         lam=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
         z_mag=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
@@ -132,7 +132,7 @@ class TestUnrotate:
             assert abs(back.q - s.q) < 1e-12
 
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         p=NORMAL_FLOATS,
         q=NORMAL_FLOATS,
