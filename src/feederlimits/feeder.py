@@ -188,16 +188,18 @@ def solve_feeder(
     about 0.958, and slower contraction could not reach the tolerance
     within the budget.
 
-    With a finite ``v_cap`` it raises :class:`VoltageLimitError` once it
-    proves that every later iterate has some |V_k| > v_cap.  Let y = T(x) be
-    the latest sweep, δ = max_k |y_k − x_k|, c_j the consumption at bus j.
+    It returns only a state whose every |V|, the source's included, is at
+    most ``v_cap``; any other state raises :class:`VoltageLimitError`, at
+    convergence or as soon as it proves that every later iterate has some
+    |V_k| > v_cap.  Let y = T(x) be the latest sweep, δ = max_k |y_k − x_k|,
+    c_j the consumption at bus j.
     On the ball B(y, ρ) every |V_j| ≥ m_j = |y_j| − ρ, so the sweep map's
     max-norm Lipschitz constant there is at most
     L = max_k Σ_{b on path(k)} |z_b|·Σ_{j at or below b} |c_j|/m_j².
     For a radius r, ρ = max(r, δ) makes the ball hold x; if then
     L·(r + δ) + ε ≤ r (ε for rounding), T maps B(y, r) into itself, so every
     later |V_k| ≥ |y_k| − r.  It rejects when max_k |y_k| − r > v_cap.  A
-    point it keeps runs the same arithmetic whatever ``v_cap`` is.
+    state it returns ran the same arithmetic as an uncapped call.
     """
     # consumption = load - generation, per bus in BFS order
     cons = list(model._cons)
@@ -223,7 +225,7 @@ def solve_feeder(
             flow[k] = i_k
             flow[p] += i_k
         delta = 0.0
-        v_max = 0.0
+        v_max = model.v0
         for k, p, z in forward:
             v = volt[p] - z * flow[k]
             d = abs(v - volt[k])
@@ -239,6 +241,7 @@ def solve_feeder(
                     f"power flow diverged after {iterations} iterations", "diverged", iterations
                 )
         if delta < tol:
+            floor = v_max
             break
         # stall rule: each 8-sweep window from sweep 1 shrinks delta by 1/√2;
         # slower than (1/√2)^(1/8) ≈ 0.958 per sweep cannot reach _TOL in time
@@ -260,11 +263,7 @@ def solve_feeder(
             if rho < 1.0 and v_max - v_cap > delta * (1.0 + 2.0 * rho / (1.0 - rho)):
                 floor = _voltage_floor(model, cons, volt, delta, v_max, v_cap)
                 if floor is not None:
-                    raise VoltageLimitError(
-                        f"power flow rejected after {iterations} iterations "
-                        f"(some |V| stays above {floor:.6g} > {v_cap:.6g})",
-                        iterations,
-                    )
+                    break
                 retest = 0.5 * delta
         last_delta = delta
     else:
@@ -273,6 +272,12 @@ def solve_feeder(
             f"(last voltage change {delta:.3e})",
             "capped",
             _MAX_ITER,
+        )
+    if floor > v_cap:
+        raise VoltageLimitError(
+            f"power flow rejected after {iterations} iterations "
+            f"(some |V| stays above {floor:.6g} > {v_cap:.6g})",
+            iterations,
         )
 
     # the backward sweep sums the currents leaving the source into flow[0]

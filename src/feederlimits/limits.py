@@ -153,9 +153,15 @@ def _locus_cut(v0: float, v_plus: float, at: RotatedPower, along: RotatedPower) 
     """Smallest t with at + t·along on the locus, or None: the root of a·t² + 2b·t + c = 0
     for d = at − (V+², 0), a = |along|², b = d·along, c = |d|² − (V0·V+)², in the form
     that does not cancel.  |d| − V0·V+ is summed as (|d| − V+²) + V+·(V+ − V0), so that
-    V+ close to V0 costs no digits."""
+    V+ close to V0 costs no digits.
+
+    The cut is scale-free: with the voltages scaled by k and ``at`` by k², t scales by
+    k² and c by k⁴.  So it runs at the power of two k that brings the largest of V0, V+
+    and |at|^½ just below 1, where c cannot leave the float range; that scaling is exact."""
+    e = math.frexp(max(v0, v_plus, math.sqrt(max(abs(at.p_t), abs(at.q_t)))))[1]
+    v0, v_plus = math.ldexp(v0, -e), math.ldexp(v_plus, -e)
     w = v_plus * v_plus
-    dp, dq = at.p_t - w, at.q_t
+    dp, dq = math.ldexp(at.p_t, -2 * e) - w, math.ldexp(at.q_t, -2 * e)
     dist = math.hypot(dp, dq)
     a = along.p_t * along.p_t + along.q_t * along.q_t
     b = dp * along.p_t + dq * along.q_t
@@ -164,7 +170,11 @@ def _locus_cut(v0: float, v_plus: float, at: RotatedPower, along: RotatedPower) 
     if disc < 0.0:
         return None
     s = math.sqrt(disc)
-    return c / (s - b) if b < 0.0 else -(b + s) / a
+    t = c / (s - b) if b < 0.0 else -(b + s) / a
+    try:
+        return math.ldexp(t, 2 * e)
+    except OverflowError:
+        return math.copysign(math.inf, t)
 
 
 def locus_estimate(case: TwoBusCase, pg_net: float) -> OperatingPoint | None:

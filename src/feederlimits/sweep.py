@@ -122,20 +122,14 @@ def best_reactive_point(model, bus, p, q_values, v_plus, p_plus):
     """
     best = None
     v_cap = v_plus + _LIMIT_SLACK
+    ampacity = {(br.from_bus, br.to_bus): br.ampacity + _LIMIT_SLACK for br in model.branches}
     for q in q_values:
         try:
-            # a point the solver proves over the cap is dropped before it converges
+            # the solver rejects every state with some |V| over the cap
             res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=v_cap)
         except (ConvergenceError, VoltageLimitError):
             continue
-        if any(abs(v) > v_cap for v in res.voltages.values()):
-            continue
-        violated = False
-        for br in model.branches:
-            if res.branch_currents[(br.from_bus, br.to_bus)] > br.ampacity + _LIMIT_SLACK:
-                violated = True
-                break
-        if violated:
+        if any(i > ampacity[key] for key, i in res.branch_currents.items()):
             continue
         p0 = res.s0_sub.p
         if p_plus is not None and p0 > p_plus + _LIMIT_SLACK:

@@ -259,6 +259,25 @@ class TestCurvesCommand:
             for key in ("efficiency", "pf_gen", "pf_sub"):
                 assert two[key] == one[key]
 
+    @pytest.mark.parametrize("v0", [1e-150, 1e-100, 1e80, 1e150])
+    def test_source_voltage_scales_powers_by_its_square(self, monkeypatch, v0):
+        # the locus cut's c grows as V⁴, so far from 1 pu it would leave the
+        # float range if the cut were not scale-free
+        rendered = []
+        monkeypatch.setattr(cli, "_render", lambda args, doc, rows: rendered.append(rows) or "")
+        for v in (1.0, v0):
+            assert main(["curves", "--v0", repr(v), "--v-plus", repr(1.06 * v)]) == 0
+        unit, scaled = rendered
+        assert len(unit) == len(scaled) == 101
+        for one, row in zip(unit, scaled):
+            for key, scale in (("lambda", 1.0), ("pg_marginal", v0 * v0), ("pg_upf", v0 * v0),
+                               ("pg_bdry", v0 * v0), ("p0_marginal", v0 * v0),
+                               ("efficiency", 1.0), ("pf_gen", 1.0), ("pf_sub", 1.0)):
+                if math.isnan(one[key]):
+                    assert math.isnan(row[key])
+                else:
+                    assert row[key] == pytest.approx(one[key] * scale, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("lambda_max", ["1e200", "1.7e308"])
     def test_huge_ratio_gives_finite_rows(self, capsys, lambda_max):
         # λ² overflows beyond about 1.3e154; the line must not collapse to zero

@@ -149,7 +149,7 @@ def outcome(solver, model, injections):
     """Results as comparable values (dict order included), or the error text."""
     try:
         res = solver(model, injections)
-    except (ConvergenceError, DomainError) as exc:
+    except (ConvergenceError, DomainError, VoltageLimitError) as exc:
         return type(exc), str(exc)
     return (
         list(res.voltages.items()),
@@ -484,6 +484,35 @@ class TestSolveFeeder:
             f"power flow rejected after {err.value.iterations} iterations ("
         )
 
+    def test_voltage_cap_just_below_the_converged_maximum_rejects(self):
+        model = single_branch_model(Z45, v0=1.0)
+        injections = {"g": ComplexPower(0.5, 0.2)}
+        res = solve_feeder(model, injections)
+        vg = abs(res.voltages["g"])
+        assert res.iterations == 20
+        assert vg == pytest.approx(1.35337344497, abs=1e-11)
+        # a cap at the maximum keeps the state, bit for bit
+        assert outcome(functools.partial(solve_feeder, v_cap=vg), model, injections) == outcome(
+            solve_feeder, model, injections
+        )
+        # no proof separates a cap 1e-12 below it, so the converged state is rejected
+        with pytest.raises(VoltageLimitError) as err:
+            solve_feeder(model, injections, v_cap=vg - 1e-12)
+        assert err.value.iterations == 20
+        assert str(err.value).startswith("power flow rejected after 20 iterations (")
+
+    @pytest.mark.parametrize("v_cap, iterations", [(0.99, 4), (1.0 - 1e-12, 19)])
+    def test_source_above_the_cap_rejects(self, v_cap, iterations):
+        # the generator bus sits far below the cap; only the source breaks it
+        model = single_branch_model(Z45, v0=1.0)
+        injections = {"g": ComplexPower(-0.2, 0.0)}
+        res = solve_feeder(model, injections)
+        assert res.iterations == 19
+        assert abs(res.voltages["g"]) == pytest.approx(0.81, abs=1e-3)
+        with pytest.raises(VoltageLimitError) as err:
+            solve_feeder(model, injections, v_cap=v_cap)
+        assert err.value.iterations == iterations
+
     @settings(max_examples=300, deadline=None)
     @given(radial_feeders(), st.integers(1, 40), st.floats(0.0, 0.3))
     def test_voltage_floor_holds_for_every_later_sweep(self, feeder, start, cut):
@@ -521,16 +550,16 @@ class TestSolveFeeder:
     def test_voltage_cap_keeps_bits_or_proves_the_breach(self, feeder, v_cap):
         model, injections = feeder
         uncapped = outcome(solve_feeder, model, injections)
-        capped = functools.partial(solve_feeder, v_cap=v_cap)
-        try:
-            got = outcome(capped, model, injections)
-        except VoltageLimitError:
+        capped = outcome(functools.partial(solve_feeder, v_cap=v_cap), model, injections)
+        if capped[0] is VoltageLimitError:
             # the uncapped sweep fails or ends above the cap
             assert uncapped[0] is ConvergenceError or max(
                 abs(v) for _, v in uncapped[0]
             ) > v_cap
         else:
-            assert got == uncapped
+            # a state comes back only bit for bit and within the cap
+            assert capped == uncapped
+            assert capped[0] is ConvergenceError or max(abs(v) for _, v in capped[0]) <= v_cap
 
 
 class TestTheveninImpedance:

@@ -36,6 +36,9 @@ CASES = {
     },
     "curves-default.csv": ["curves"],
     "curves-default.json": ["curves", "--format", "json"],
+    # c of the locus cut, about V⁴, would leave the float range here
+    "curves-extreme-voltage.csv": ["curves", "--v0", "1e150", "--v-plus", "1.06e150",
+                                   "--lambda-points", "5"],
     "sweep-feeder12-bus12-coarse.json": [
         "sweep", "--feeder", FEEDER, "--bus", "12",
         "--p-min", "0", "--p-max", "3", "--p-step", "0.1",

@@ -352,6 +352,12 @@ class TestLocusCut:
                 assert near.current == pytest.approx(exact.current, rel=1e-9)
                 assert near.sg.q == pytest.approx(exact.sg.q, rel=1e-9)
 
+    def test_cut_past_the_float_range_is_infinite(self):
+        # about V0²/|Z| = 1e310: the cut fits at its own scale, its result does not
+        z = Impedance.from_ratio(1.0, 1e-10)
+        assert upf_limit_generation(z, 1e150, 1.06e150) == math.inf
+        assert boundary_generation(z, 1e150, 1.06e150) == math.inf
+
 
 class TestMetrics:
     def test_lossless(self):

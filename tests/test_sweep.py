@@ -187,6 +187,13 @@ class TestRunSweep:
         with pytest.raises(NoFeasiblePointError):
             run_sweep(model, "g", coarse_config(v_plus=0.5))
 
+    def test_source_above_voltage_limit_raises(self):
+        # with P < 0 the generator bus falls below V+, but the source stays above it
+        model = single_branch_model(Z45, v0=1.0)
+        assert best_reactive_point(model, "g", -0.2, [0.0], v_plus=0.99, p_plus=None) is None
+        with pytest.raises(NoFeasiblePointError):
+            run_sweep(model, "g", coarse_config(p_range=(-1.0, 0.2, 0.05), v_plus=0.99))
+
     @pytest.mark.parametrize("bus", ["1", "zz"])
     def test_bad_bus_fails_before_any_power_flow(self, monkeypatch, bus):
         def no_power_flow(*args):
