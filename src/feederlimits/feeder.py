@@ -276,7 +276,7 @@ def solve_feeder(
     if floor > v_cap:
         raise VoltageLimitError(
             f"power flow rejected after {iterations} iterations "
-            f"(some |V| stays above {floor:.6g} > {v_cap:.6g})",
+            f"(some |V| stays above {floor!r} > {v_cap!r})",
             iterations,
         )
 

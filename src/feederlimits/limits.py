@@ -11,13 +11,15 @@ Both limit points lie on the |Vg| = V+ locus, so each is set exactly there
 rather than re-solved: |Vg| = V+, rotated losses V0² + 2·P̃ − V+², and the
 high-voltage branch exactly when V+² ≥ P̃ + V0²/2, which at the marginal
 point means λ ≥ λ′.  The locus is the circle (P̃ − V+²)² + Q̃² = (V0·V+)²
-in the rotated plane; every other closed-form point on it is a line's first cut.
+in the rotated plane.  The thermal point on it comes from the triangle with
+sides V0, V+ and |Z|·I+; every other closed-form point is a line's first cut.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ThermalLimitError
@@ -30,12 +32,6 @@ from .twobus import (
     rotate,
     unrotate,
 )
-
-# On the voltage locus the drop |Z|·I = |Vg − V0| is at most V+ + V0.  A
-# drop beyond _FAR times that bound misses the locus so far that the
-# thermal root argument is −inf in floating point.
-_FAR = 1e100
-
 
 @dataclass(frozen=True)
 class TwoBusCase:
@@ -54,9 +50,10 @@ class TwoBusCase:
 
     def __post_init__(self):
         # written so that NaN fails every comparison; the formulas square
-        # both voltages, so their squares must be finite too
-        if not (0.0 < self.v0 and self.v0 * self.v0 < math.inf
-                and 0.0 < self.v_plus and self.v_plus * self.v_plus < math.inf
+        # both voltages, so their squares must be normal floats too
+        if not (0.0 < self.v0 and sys.float_info.min <= self.v0 * self.v0 < math.inf
+                and 0.0 < self.v_plus
+                and sys.float_info.min <= self.v_plus * self.v_plus < math.inf
                 and self.i_plus >= 0.0):
             raise DomainError(f"invalid case parameters: {self}")
         _require_line(self.z)
@@ -213,31 +210,25 @@ def boundary_generation(z: Impedance, v0: float, v_plus: float) -> float:
 def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float]:
     """Rotated coordinates (p_t, q_t) of the thermal limit point.
 
-    Of the two reactive roots ±q_t the negative one gives the larger
+    The point exists exactly when the drop |Z|·I+ closes a triangle with V0
+    and V+.  Its root argument (V+·|Z|·I+)² − p_t² is then 4·Area² of that
+    triangle, taken in Heron's factored form (Kahan), so no term grows past
+    O(V²).  Of the two reactive roots ±q_t the negative one gives the larger
     generated power, so it is the one returned.
     """
-    z_mag = case.z.magnitude()
-    if z_mag * case.i_plus > _FAR * (case.v_plus + case.v0):
-        if case.i_plus == math.inf:
-            raise ThermalLimitError("ampacity is unbounded, no thermal limit point exists")
-        # about −(|Z|·I+)⁴/4 there, below the float range; squaring the
-        # ampacity to compute it could raise OverflowError
-        arg = -math.inf
-    else:
-        try:
-            p_t = 0.5 * (case.v_plus**2 - case.v0**2 + z_mag**2 * case.i_plus**2)
-            arg = (case.v_plus * case.i_plus * z_mag) ** 2 - p_t * p_t
-        except OverflowError as exc:
-            # the point exists exactly when |V+ − V0| ≤ |Z|·I+ ≤ V+ + V0
-            if abs(case.v_plus - case.v0) <= z_mag * case.i_plus <= case.v_plus + case.v0:
-                raise DomainError(f"thermal limit squares leave the float range: {case}") from exc
-            arg = -math.inf
-    if arg < 0.0:
+    if case.i_plus == math.inf:
+        raise ThermalLimitError("ampacity is unbounded, no thermal limit point exists")
+    v0, v_plus = case.v0, case.v_plus
+    zi = case.z.magnitude() * case.i_plus
+    outer = (zi + (v_plus - v0)) * (zi + (v_plus + v0))
+    inner = ((v_plus + v0) - zi) * (zi - (v_plus - v0))
+    if not (outer >= 0.0 and inner >= 0.0):
         raise ThermalLimitError(
             "thermal limit does not intersect the voltage-limit locus "
-            f"(root argument {arg:.3e} < 0)"
+            f"(root argument {0.25 * outer * inner:.3e} < 0)"
         )
-    return p_t, -math.sqrt(arg)
+    p_t = 0.5 * (v_plus**2 - v0**2 + zi * zi)
+    return p_t, -0.5 * math.sqrt(outer) * math.sqrt(inner)
 
 
 def thermal_limit(case: TwoBusCase) -> OperatingPoint:

@@ -144,8 +144,10 @@ class TestLimitsCommand:
     @pytest.mark.parametrize(
         "overrides",
         [{"--v0": "1e300"}, {"--v-plus": "1e300"}, {"--r": "1e300"},
-         {"--r": "1e-300", "--x": "1e-300"}, {"--r": "1e-161", "--x": "1e-161"}],
-        ids=["huge-v0", "huge-v-plus", "huge-r", "tiny-z", "subnormal-z-squared"],
+         {"--r": "1e-300", "--x": "1e-300"}, {"--r": "1e-161", "--x": "1e-161"},
+         {"--v0": "1e-300", "--v-plus": "1.06e-300"}],
+        ids=["huge-v0", "huge-v-plus", "huge-r", "tiny-z", "subnormal-z-squared",
+             "tiny-voltages"],
     )
     def test_extreme_finite_input_is_one_error_line(self, capsys, overrides):
         # finite values whose squares leave the normal float range
@@ -176,7 +178,7 @@ class TestLimitsCommand:
         ids=["huge-voltages", "huge-ampacity-tiny-line"],
     )
     def test_thermal_squares_past_float_range_leave_no_thermal_point(self, capsys, argv):
-        # |Z|·I+ is far past V+ + V0, although under the far-ampacity guard
+        # |Z|·I+ is so far past V+ + V0 that the root argument is below the float range
         code, report = run_json(capsys, ["limits"] + argv)
         assert code == 0
         assert report["thermal"] is None
@@ -184,13 +186,39 @@ class TestLimitsCommand:
             "thermal limit does not intersect the voltage-limit locus (root argument -inf < 0)"
         )
 
-    def test_unrepresentable_thermal_point_is_one_error_line(self, capsys):
-        code = main(["limits", "--v0", "1e100", "--v-plus", "1e100", "--r", "0.5", "--x", "0.5",
-                     "--i-plus", "1e100"])
-        assert code == 2
+    def test_thermal_point_at_huge_voltages_scales_from_one_pu(self, capsys):
+        # the thermal point's V⁴ terms would leave the float range here
+        line = ["--r", "0.5", "--x", "0.5"]
+        _, unit = run_json(capsys, ["limits", "--v0", "1", "--v-plus", "1", *line,
+                                    "--i-plus", "1"])
+        code, huge = run_json(capsys, ["limits", "--v0", "1e100", "--v-plus", "1e100", *line,
+                                       "--i-plus", "1e100"])
+        assert code == 0
+        assert huge["binding"] == unit["binding"] == "thermal"
+        thermal = huge["thermal"]
+        assert thermal["pg"] == 9.11437827766e199
+        for key, scale in (("pg", 1e200), ("qg", 1e200), ("p0", 1e200), ("q0", 1e200),
+                           ("losses_p", 1e200), ("losses_q", 1e200), ("vg", 1e100),
+                           ("current", 1e100), ("efficiency", 1.0), ("pf_gen", 1.0),
+                           ("pf_sub", 1.0)):
+            assert thermal[key] == pytest.approx(unit["thermal"][key] * scale, rel=1e-11)
+        assert thermal["branch"] == unit["thermal"]["branch"]
+
+    def test_thermal_point_at_tiny_voltages_scales_from_one_pu(self, capsys):
+        # at 1 pu (--i-plus 0.9) the marginal limit binds and the thermal pg is 0.918386420855
+        code, report = run_json(capsys, ["limits", "--v0", "1e-90", "--v-plus", "1.06e-90",
+                                         "--r", "0.70711", "--x", "0.70711", "--i-plus", "9e-91"])
+        assert code == 0
+        assert report["binding"] == "marginal"
+        assert report["thermal"]["pg"] == 9.18386420855e-181
+
+    def test_huge_ampacity_on_tiny_line_is_a_result_or_one_error_line(self, capsys):
+        # |Z|·I+ closes the triangle and (|Z|·I+)² is near 1e200, but I+² overflows
+        code = main(["limits", "--v0", "1e100", "--v-plus", "1e100", "--r", "1e-55",
+                     "--x", "1e-55", "--i-plus", "1e155"])
         err = capsys.readouterr().err
-        assert err.startswith("error: thermal limit squares leave the float range")
-        assert err.count("\n") == 1
+        assert code == 0 and err == "" or code == 2 and err.startswith("error: ")
+        assert err.count("\n") <= 1
 
 
 class TestCurvesCommand:
@@ -290,6 +318,14 @@ class TestCurvesCommand:
             # at λ = 0.01 unity power factor never reaches V+, so pg_upf is nan there
             assert lam == 0.01 and math.isnan(pg_upf) or math.isfinite(pg_upf)
             assert all(map(math.isfinite, [lam, pg_marginal, *rest]))
+
+    def test_voltages_with_subnormal_squares_are_one_error_line(self, capsys):
+        code = main(["curves", "--v0", "1e-300", "--v-plus", "1.06e-300", "--lambda-min", "1",
+                     "--lambda-points", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_invalid_range_rejected(self):
         with pytest.raises(SystemExit) as err:

@@ -512,6 +512,12 @@ class TestSolveFeeder:
         with pytest.raises(VoltageLimitError) as err:
             solve_feeder(model, injections, v_cap=v_cap)
         assert err.value.iterations == iterations
+        # the text prints enough digits to tell the floor from the cap
+        text = str(err.value)
+        assert text.startswith(f"power flow rejected after {iterations} iterations (")
+        floor, cap = text.removesuffix(")").split("stays above ")[1].split(" > ")
+        assert float(cap) == v_cap
+        assert float(floor) > v_cap
 
     @settings(max_examples=300, deadline=None)
     @given(radial_feeders(), st.integers(1, 40), st.floats(0.0, 0.3))

@@ -7,6 +7,7 @@ algebra changes.  Regenerate after an intended output change with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -30,6 +31,9 @@ CASES = {
     "limits-inline-thermal.json": ["limits", *INLINE, "--i-plus", "0.5"],
     "limits-inline-unbounded.json": ["limits", *INLINE, "--i-plus", "inf"],
     "limits-inline-ampacity100.json": ["limits", *INLINE, "--i-plus", "100"],
+    # limits-inline-thermal.json with V0, V+ and I+ scaled by 1e100
+    "limits-extreme-voltage.json": ["limits", "--v0", "1e100", "--v-plus", "1.06e100",
+                                    "--r", "0.70711", "--x", "0.70711", "--i-plus", "5e99"],
     **{
         f"equivalent-feeder12-bus{bus}.json": ["equivalent", "--feeder", FEEDER, "--bus", bus]
         for bus in BUSES
@@ -82,6 +86,22 @@ def _write_frontier(name: str, directory: Path) -> Path:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     assert _write(name, tmp_path).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _mantissas(doc):
+    """Every value of a JSON document, with each number as its 12-digit mantissa."""
+    if isinstance(doc, dict):
+        return {key: _mantissas(value) for key, value in doc.items()}
+    if isinstance(doc, float):
+        return f"{doc:.11e}".partition("e")[0]
+    return doc
+
+
+def test_extreme_voltage_golden_is_the_unit_golden_scaled():
+    # a scale defect baked into a regenerated golden would show here
+    extreme, unit = (json.loads((GOLDEN / name).read_text(encoding="ascii"))
+                     for name in ("limits-extreme-voltage.json", "limits-inline-thermal.json"))
+    assert _mantissas(extreme) == _mantissas(unit)
 
 
 @pytest.mark.parametrize("name", sorted(FRONTIERS))

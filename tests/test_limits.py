@@ -292,6 +292,36 @@ class TestExtremeMagnitudes:
                       point.losses.p, point.losses.q, point.efficiency, point.pf_gen, point.pf_sub)
             assert all(map(math.isfinite, values))
 
+    @settings(max_examples=500)
+    @given(
+        lam=_log_uniform(1e-3, 1e3),
+        z_mag=_log_uniform(0.01, 10.0),
+        v0=st.floats(0.9, 1.1),
+        v_plus=st.floats(0.95, 1.15),
+        i_plus=_log_uniform(0.01, 100.0) | st.just(math.inf),
+        m=st.integers(-400, 400),
+    )
+    def test_binding_limit_scales_with_the_voltages(self, lam, z_mag, v0, v_plus, i_plus, m):
+        # scaling V0, V+ and I+ by 2^m scales currents by 2^m and powers by 2^(2m)
+        z = Impedance.from_ratio(lam, z_mag)
+        unit = binding_limit(TwoBusCase(v0, z, v_plus, i_plus))
+        scaled = binding_limit(TwoBusCase(math.ldexp(v0, m), z, math.ldexp(v_plus, m),
+                                          math.ldexp(i_plus, m)))
+        assert scaled.binding is unit.binding
+        assert (scaled.thermal is None) is (unit.thermal is None)
+        for one, point in ((unit.marginal, scaled.marginal), (unit.thermal, scaled.thermal)):
+            if one is None:
+                continue
+            assert point.branch is one.branch
+            powers = (point.sg.p, point.sg.q, point.s0.p, point.s0.q, point.losses.p,
+                      point.losses.q)
+            unit_powers = (one.sg.p, one.sg.q, one.s0.p, one.s0.q, one.losses.p, one.losses.q)
+            tol = 1e-12 * max(map(abs, powers))
+            for power, unit_power in zip(powers, unit_powers):
+                assert abs(power - math.ldexp(unit_power, 2 * m)) <= tol
+            for value, unit_value in ((point.current, one.current), (point.vg, one.vg)):
+                assert value == pytest.approx(math.ldexp(unit_value, m), rel=1e-12, abs=0.0)
+
     def test_operating_point_beyond_float_range_is_refused(self):
         with pytest.raises(DomainError, match="leaves the float range"):
             marginal_limit(TwoBusCase(v0=1e150, z=Impedance(1e-150, 1e-150), v_plus=1e150,
