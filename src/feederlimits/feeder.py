@@ -47,7 +47,9 @@ class FeederModel:
     """Radial feeder: buses, series branches, constant-power loads, one source.
 
     All electrical quantities are per-unit.  ``loads`` is stored as a
-    read-only copy, so the validated model cannot change afterwards.
+    read-only copy, so the validated model cannot change afterwards.  The
+    solver's tables are plain attributes that ``__post_init__`` sets, not
+    fields, so they stay out of ``__init__``, equality and ``repr``.
     """
 
     buses: tuple[str, ...]
@@ -55,26 +57,6 @@ class FeederModel:
     loads: Mapping[str, ComplexPower] = field(hash=False)
     source: str
     v0: float
-
-    # Solver tables, built once in __post_init__; index k is the k-th bus in
-    # BFS order from the source (k = 0).
-    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    _parent: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the branch feeding bus k (None at the source)
-    _in_branch: tuple[BranchSpec | None, ...] = field(init=False, repr=False, compare=False)
-    # load per bus as the solver adds it up: 0j plus the load, if any
-    _cons: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    # (k, parent) in reverse BFS order, for the backward (current) sweep
-    _backward: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    # (k, parent, branch impedance) in BFS order, for the forward (voltage) sweep
-    _forward: tuple[tuple[int, int, complex], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # (from, to) of the branch feeding bus k, for k = 1, 2, ...
-    _branch_keys: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
-    # |z| of the branch feeding bus k (0 at the source), for the voltage-cap proof
-    _z_abs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", types.MappingProxyType(dict(self.loads)))
@@ -90,21 +72,31 @@ class FeederModel:
         for bus, s in self.loads.items():
             if bus not in self.buses:
                 raise TopologyError(f"load at unknown bus {bus!r}")
+            # the source voltage is fixed, so the power flow would drop it
+            if bus == self.source:
+                raise TopologyError(f"load at source bus {bus!r}")
             if not (math.isfinite(s.p) and math.isfinite(s.q)):
                 raise DomainError(f"load at bus {bus!r} must be finite: {s}")
         order, parent, in_branch = self._bfs()
         k_parent = tuple(enumerate(parent))[1:]
+        # Solver tables; index k is the k-th bus in BFS order from the source (k = 0).
         tables = {
-            "_order": order,
+            # index of each bus; its key order is the BFS order
             "_pos": {bus: k for k, bus in enumerate(order)},
             "_parent": parent,
+            # the branch feeding bus k (None at the source)
             "_in_branch": in_branch,
+            # load per bus as the solver adds it up: 0j plus the load, if any
             "_cons": tuple(
                 0j + self.loads[bus].as_complex() if bus in self.loads else 0j for bus in order
             ),
+            # (k, parent) in reverse BFS order, for the backward (current) sweep
             "_backward": k_parent[::-1],
+            # (k, parent, branch impedance) in BFS order, for the forward (voltage) sweep
             "_forward": tuple((k, p, in_branch[k].z.as_complex()) for k, p in k_parent),
+            # (from, to) of the branch feeding bus k, for k = 1, 2, ...
             "_branch_keys": tuple((br.from_bus, br.to_bus) for br in in_branch[1:]),
+            # |z| of the branch feeding bus k (0 at the source), for the voltage-cap proof
             "_z_abs": (0.0, *(br.z.magnitude() for br in in_branch[1:])),
         }
         for name, value in tables.items():
@@ -283,7 +275,7 @@ def solve_feeder(
     # the backward sweep sums the currents leaving the source into flow[0]
     s0 = v0 * (-flow[0]).conjugate()
     return PowerFlowResult(
-        voltages={bus: volt[k] for k, bus in enumerate(model._order)},
+        voltages={bus: volt[k] for bus, k in model._pos.items()},
         branch_currents={key: abs(flow[k]) for k, key in enumerate(model._branch_keys, 1)},
         s0_sub=ComplexPower(s0.real, s0.imag),
         iterations=iterations,

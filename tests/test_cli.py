@@ -113,6 +113,20 @@ class TestLimitsCommand:
             main(["limits", "--feeder", FEEDER, "--bus", "12", "--v0", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--feeder", FEEDER], "--bus is required"),
+         (["--r", "0.5", "--x", "0.5"], "all of --v0/--r/--x"),
+         (["--v0", "1", "--x", "0.5"], "all of --v0/--r/--x"),
+         (["--v0", "1", "--r", "0.5"], "all of --v0/--r/--x")],
+        ids=["no-bus", "no-v0", "no-r", "no-x"],
+    )
+    def test_incomplete_location_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["limits", *argv, "--i-plus", "1"])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_inline_mode_requires_current_limit(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["limits", "--v0", "1", "--r", "0.5", "--x", "0.5"])
@@ -335,7 +349,7 @@ class TestCurvesCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--lambda-min", "nan"), ("--lambda-min", "inf"), ("--lambda-max", "nan"),
-         ("--lambda-max", "inf"), ("--lambda-points", "0"),
+         ("--lambda-max", "inf"), ("--lambda-max", "0.001"), ("--lambda-points", "0"),
          ("--z-mag", "0"), ("--z-mag", "-1"), ("--z-mag", "nan"), ("--z-mag", "inf"),
          ("--lambda-points", str(feederlimits.sweep._MAX_GRID_POINTS + 1))],
     )
@@ -532,11 +546,17 @@ def _bad_feeder(kind, tmp_path):
         path.write_text(
             "[bus]\n1\n2\n[source]\n1 1.0\n[branch]\n1 2 0.1 0.1 1\n[load]\n2 nan 0\n"
         )
+    elif kind == "source-load":
+        path.write_text(
+            "[bus]\n1\n2\n[source]\n1 1.0\n[branch]\n1 2 0.1 0.1 1\n[load]\n1 0.5 0.1\n"
+        )
     return str(path)
 
 
 @pytest.mark.parametrize(
-    "kind", ["missing", "directory", "non-ascii", "meshed", "negative-source", "nan-load"]
+    "kind",
+    ["missing", "directory", "non-ascii", "meshed", "negative-source", "nan-load",
+     "source-load"],
 )
 @pytest.mark.parametrize("command", ["limits", "equivalent"])
 def test_feeder_file_fault_is_one_error_line(command, kind, tmp_path, capsys):

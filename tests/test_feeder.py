@@ -222,6 +222,27 @@ class TestModelValidation:
                 v0=1.0,
             )
 
+    def test_load_at_source_bus_rejected(self):
+        # the source voltage is fixed, so the power flow would drop this load
+        with pytest.raises(TopologyError, match="source bus"):
+            FeederModel(
+                buses=("a", "b"),
+                branches=(BranchSpec("a", "b", Impedance(0.1, 0.1), 1.0),),
+                loads={"a": ComplexPower(0.5, 0.1)},
+                source="a",
+                v0=1.0,
+            )
+
+    def test_branch_to_unknown_bus_rejected(self):
+        with pytest.raises(TopologyError, match="unknown bus"):
+            FeederModel(
+                buses=("a", "b"),
+                branches=(BranchSpec("a", "zz", Impedance(0.1, 0.1), 1.0),),
+                loads={},
+                source="a",
+                v0=1.0,
+            )
+
     def test_model_is_hashable(self):
         a = load_feeder(bundled_feeder_path())
         b = load_feeder(bundled_feeder_path())
@@ -235,6 +256,9 @@ class TestModelValidation:
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
         assert "_pos" not in repr(a)
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "buses", "branches", "loads", "source", "v0"
+        ]
 
     def test_solver_tables_are_not_arguments(self):
         with pytest.raises(TypeError, match="_pos"):
@@ -711,6 +735,16 @@ class TestParser:
     def test_bad_base_line_reports_line_number(self, line, message):
         with pytest.raises(FeederFileError, match=f":3: {message}"):
             parse_feeder(f"[base]\ns_base 1.0\n{line}\n[bus]\na\n[source]\na 1.0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[bus]\na b\n", "[bus]\na\n[source]\na\n", "[bus]\na\n[load]\na 0.1\n"],
+        ids=["bus", "source", "load"],
+    )
+    def test_wrong_token_count_reports_line_number(self, text):
+        line = text.count("\n")
+        with pytest.raises(FeederFileError, match=f":{line}: expected"):
+            parse_feeder(text)
 
     def test_malformed_branch_reports_line_number(self):
         with pytest.raises(FeederFileError, match=":2:"):

@@ -48,6 +48,12 @@ CASES = {
         "--p-min", "0", "--p-max", "3", "--p-step", "0.1",
         "--q-min", "-3", "--q-max", "1", "--q-step", "0.1",
     ],
+    # no --i-plus, so the thermal cells of the summary are empty
+    "sweep-inline-csv.csv": [
+        "sweep", *INLINE,
+        "--p-min", "0", "--p-max", "1", "--p-step", "0.1",
+        "--q-min", "-1", "--q-max", "0.5", "--q-step", "0.1", "--format", "csv",
+    ],
 }
 
 # measured frontier columns of a sweep, from the CLI's <name>.frontier.csv

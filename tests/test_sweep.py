@@ -1,5 +1,6 @@
 """Tests for the brute-force grid sweep and its frontier curves."""
 
+import dataclasses
 import math
 
 import pytest
@@ -288,6 +289,22 @@ class TestFrontierCurves:
         # below the activation level the measured optimum keeps q near zero
         # while the voltage-limit locus demands a clear offset
         assert abs(recs[0]["q_gen"] - recs[0]["q_gen_est"]) > 0.05
+
+    def test_unreachable_estimate_is_nan(self):
+        # on a resistive line the voltage-limit locus has no point at zero generation
+        model = single_branch_model(Impedance(1.0, 0.0), v0=1.0)
+        report = run_sweep(
+            model, "g", coarse_config(p_range=(0.0, 0.2, 0.1), q_range=(-0.5, 0.5, 0.1))
+        )
+        rec = frontier_curves(report)[0]
+        assert rec["p_gen"] == 0.0
+        assert math.isnan(rec["current_est"]) and math.isnan(rec["q_gen_est"])
+
+    def test_empty_frontier_raises(self):
+        model = single_branch_model(Z45, v0=1.0)
+        report = run_sweep(model, "g", coarse_config(p_range=(0.0, 0.2, 0.1)))
+        with pytest.raises(NoFeasiblePointError, match="empty frontier"):
+            frontier_curves(dataclasses.replace(report, frontier=[]))
 
     def test_record_field_order_is_stable(self):
         model = single_branch_model(Z45, v0=1.0)

@@ -301,6 +301,10 @@ class TestUpfLimitPower:
             limit = upf_limit_power(sg.p, vg_sq, v0, 1.0)
             assert abs(shifted - limit) < 1e-4
 
+    def test_zero_impedance_rejected(self):
+        with pytest.raises(DegenerateImpedanceError):
+            upf_limit_power(0.5, 1.0, 1.0, 0.0)
+
 
 class TestUpfLimitGeneration:
     def test_unity_power_factor_lands_on_voltage_limit(self):
