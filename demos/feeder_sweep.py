@@ -2,8 +2,9 @@
 
 Loads the bundled 12-bus feeder, collapses it to a two-bus equivalent at
 the far-end bus, and then checks the prediction the hard way: a grid
-search over generator (P, Q) with a full power flow at every point,
-keeping only states inside the voltage and ampacity envelope.
+search over generator (P, Q) with a power flow at every point that
+circuit laws cannot rule out, keeping only states inside the voltage and
+ampacity envelope.
 
 Coarser than the acceptance grid so it finishes in a few seconds.
 """

@@ -49,7 +49,8 @@ class FeederModel:
     All electrical quantities are per-unit.  ``loads`` is stored as a
     read-only copy, so the validated model cannot change afterwards.  The
     solver's tables are plain attributes that ``__post_init__`` sets, not
-    fields, so they stay out of ``__init__``, equality and ``repr``.
+    fields, so they stay out of ``__init__``, equality and ``repr``.  A
+    pickled or deep-copied model is rebuilt from its five inputs.
     """
 
     buses: tuple[str, ...]
@@ -101,6 +102,11 @@ class FeederModel:
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # the read-only loads cannot be pickled; rebuilding from the five
+        # inputs revalidates the model and rebuilds its tables
+        return (type(self), (self.buses, self.branches, dict(self.loads), self.source, self.v0))
 
     def _bfs(self):
         adjacency: dict[str, list[tuple[str, BranchSpec]]] = {b: [] for b in self.buses}

@@ -1,10 +1,14 @@
 """Brute-force (P, Q) grid oracle for measuring transfer limits on a feeder.
 
-For every real power on a grid, each reactive power is tried in turn; points
-violating a voltage, ampacity or substation limit (or failing to converge)
-are discarded, and the reactive power maximising the transferred real power
-is kept.  The resulting frontier yields measured marginal and thermal limits
-that the closed-form predictions are scored against.
+For every real power on a grid, the reactive powers are tried in order of a
+circuit-law upper bound on the transfer they could reach; points violating
+a voltage, ampacity or substation limit (or failing to converge) are
+discarded, and the reactive power maximising the transferred real power is
+kept.  A column's scan stops once no point left can beat the best one found,
+and a point the bounds prove over its ampacity is never solved, so the kept
+points are those of a full scan, bit for bit.  The resulting frontier yields
+measured marginal and thermal limits that the closed-form predictions are
+scored against.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, NoFeasiblePointError, VoltageLimitError
-from .feeder import FeederModel, solve_feeder, two_bus_equivalent
+from .feeder import _TOL, FeederModel, solve_feeder, two_bus_equivalent
 from .limits import OperatingPoint, TwoBusCase, binding_limit, locus_estimate
 from .twobus import ComplexPower
 
 # feasibility slack so points sitting exactly on a limit survive rounding
 _LIMIT_SLACK = 1e-9
-# one power flow per point; 31x the 401 x 801 acceptance grid
+# at most one power flow per point; 31x the 401 x 801 acceptance grid
 _MAX_GRID_POINTS = 10_000_000
 
 
@@ -114,16 +118,118 @@ def improves(p0: float, q: float, best: FrontierPoint | None) -> bool:
     return abs(q) < abs(best.q_gen)
 
 
-def best_reactive_point(model, bus, p, q_values, v_plus, p_plus):
+class _ColumnScan:
+    """What a sweep decides once for all its columns: the voltage cap, the
+    ampacity test of each branch and, for a generator at a leaf bus, the
+    bounds that order and cut each column's scan.
+
+    Let k be the generator bus and c = ``model._cons[k]`` − (p + jq), the
+    solver's own consumption at k.  The bounds hold for every state that
+    ``solve_feeder(…, v_cap)`` returns and that passes the ampacity test;
+    any other point is discarded anyway.
+
+    * Current.  At a leaf, the branch feeding k carries k's own current
+      alone, |I_k| = |c|/|x_k|, where x is the iterate before the returned
+      one y.  Every |y_j| ≤ v_cap and |y − x| < ``_TOL``, so
+      |I_k| ≥ i_min = |c|/(v_cap + 1e-9)·(1 − 1e-12); the factor covers
+      the rounding of |y_k|, of the division and of |·|.  (a) A point with
+      i_min above the branch's ampacity plus slack fails the ampacity
+      test, so it is not solved.
+    * Transfer.  With J_j = conj(c_j/x_j) the current drawn at bus j and
+      the branch currents I_b the sums of the J_j below them, the forward
+      sweep gives exactly p0 = −Σ Re c_j − Σ r_b|I_b|²
+      − Re Σ (y_j − x_j)·conj(J_j).  Here −Σ Re c_j = p − P_loads and the
+      losses are at least r_k·|I_k|², so p0 ≤ b + m with the bound
+      b = p − P_loads − r_k·i_min² and the margin
+      m = ``_TOL``·A + 1e-14·n²·v_cap·A + 1e-9·(1 + |p| + |P_loads| + r_k·i_min²).
+      A bounds Σ|J_j| over the n-bus feeder's buses with nonzero
+      consumption, k included: each |J_j| is at most the sum of the
+      currents in the branches at j, and a point passing the ampacity test
+      keeps each of them within its ampacity plus slack, so A is the sum
+      of those over the branches at each such bus, and ``_TOL``·A bounds
+      the last term.  The solver's sums and products hold currents within
+      the ampacities and voltages within v_cap, so they round p0 by at most
+      about 2n²·2⁻⁵³·v_cap·A, which the second term covers; the third
+      covers the rounding of b and of the bound's own evaluation.  An
+      infinite ampacity among those in A makes m infinite, which turns
+      rule (b) off but not rule (a).
+    * Scan.  b + m falls as i_min grows, so a column is scanned by
+      ascending i_min, ties in grid order.  (b) Once b + m is below the
+      best p0 found, no point left can beat it, nor even tie it.
+
+    At a bus that is not a leaf, downstream loads draw currents at unknown
+    voltages, so there is no bound: every point keeps i_min = 0 and an
+    infinite b + m, and the column is scanned whole in grid order.
+    """
+
+    def __init__(self, model: FeederModel, bus: str, v_plus: float):
+        self.v_cap = v_cap = v_plus + _LIMIT_SLACK
+        self.ampacity = {}
+        at_bus = dict.fromkeys(model.buses, 0.0)
+        for br in model.branches:
+            a = br.ampacity + _LIMIT_SLACK
+            self.ampacity[br.from_bus, br.to_bus] = a
+            at_bus[br.from_bus] += a
+            at_bus[br.to_bus] += a
+        k = model._pos.get(bus)
+        # no bound at an unknown or source bus (the solver rejects those),
+        # above another bus, or without a finite cap
+        self.leaf = bool(k) and k not in model._parent and v_cap < math.inf
+        if not self.leaf:
+            self.offset = math.inf
+            return
+        self.cons = model._cons[k]
+        self.i_plus = self.ampacity[model._branch_keys[k - 1]]
+        self.i_scale = (1.0 - 1e-12) / (v_cap + 1e-9)
+        self.r = model._in_branch[k].z.r * (1.0 - 1e-9)
+        drawn = sum(at_bus[b] for b, j in model._pos.items() if j == k or model._cons[j])
+        n = len(model.buses)
+        p_loads = model.total_load().p
+        # b + m = p + 1e-9·|p| + offset − r_k·(1 − 1e-9)·i_min²
+        self.offset = (
+            drawn * (_TOL + 1e-14 * n * n * v_cap) + 1e-9 * (1.0 + abs(p_loads)) - p_loads
+        )
+
+    def column(self, p: float, q_values) -> list[tuple[float, int, float]]:
+        """(i_min, grid index, q) of each point rule (a) keeps, in scan order."""
+        if not self.leaf:
+            return [(0.0, at, q) for at, q in enumerate(q_values)]
+        # c = cons − (p + jq), part by part as complex subtraction does it
+        c_re, c_im = self.cons.real - p, self.cons.imag
+        scale, i_plus = self.i_scale, self.i_plus
+        kept = []
+        for at, q in enumerate(q_values):
+            i_min = math.hypot(c_re, c_im - q) * scale
+            if i_min <= i_plus:
+                kept.append((i_min, at, q))
+        kept.sort()
+        return kept
+
+    def transfer_bound(self, p: float, i_min: float) -> float:
+        """b + m of the class docstring: no feasible point transfers more."""
+        top = p + 1e-9 * abs(p) + self.offset
+        if top == math.inf:
+            return top
+        return top - self.r * i_min * i_min
+
+
+def best_reactive_point(model, bus, p, q_values, v_plus, p_plus, scan=None):
     """Feasible point with maximum transferred power at fixed generation.
 
     Ties in transferred power break toward the reactive power of smallest
-    magnitude.  Returns None when no grid point is feasible.
+    magnitude, then toward the lower grid index, as in a scan of
+    ``q_values`` in order.  Returns None when no grid point is feasible.
+    ``scan`` holds the tables that ``run_sweep`` builds once for all
+    columns with the same model, bus and ``v_plus``; without it they are
+    built here.
     """
-    best = None
-    v_cap = v_plus + _LIMIT_SLACK
-    ampacity = {(br.from_bus, br.to_bus): br.ampacity + _LIMIT_SLACK for br in model.branches}
-    for q in q_values:
+    if scan is None:
+        scan = _ColumnScan(model, bus, v_plus)
+    v_cap, ampacity = scan.v_cap, scan.ampacity
+    best = best_at = None
+    for i_min, at, q in scan.column(p, q_values):
+        if best is not None and scan.transfer_bound(p, i_min) < best.p0_sub:
+            break
         try:
             # the solver rejects every state with some |V| over the cap
             res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=v_cap)
@@ -134,10 +240,13 @@ def best_reactive_point(model, bus, p, q_values, v_plus, p_plus):
         p0 = res.s0_sub.p
         if p_plus is not None and p0 > p_plus + _LIMIT_SLACK:
             continue
-        if improves(p0, q, best):
+        # out of grid order, an exact tie in p0 and |q| needs the index too
+        if improves(p0, q, best) or (
+            p0 == best.p0_sub and abs(q) == abs(best.q_gen) and at < best_at
+        ):
             max_current = max(res.branch_currents.values())
             vg = abs(res.voltages[bus])
-            best = FrontierPoint(p, q, p0, max_current, vg)
+            best, best_at = FrontierPoint(p, q, p0, max_current, vg), at
     return best
 
 
@@ -149,8 +258,9 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
     """
     case, s_load = two_bus_equivalent(model, bus, v_plus=config.v_plus)
     q_values = config.q_values()
+    scan = _ColumnScan(model, bus, config.v_plus)
     columns = (
-        best_reactive_point(model, bus, p, q_values, config.v_plus, config.p_plus)
+        best_reactive_point(model, bus, p, q_values, config.v_plus, config.p_plus, scan)
         for p in config.p_values()
     )
     frontier = [pt for pt in columns if pt is not None]

@@ -1,8 +1,10 @@
 """Tests for the radial feeder model, solver and two-bus equivalencing."""
 
+import copy
 import dataclasses
 import functools
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -248,6 +250,22 @@ class TestModelValidation:
         b = load_feeder(bundled_feeder_path())
         assert a == b
         assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_round_trip_rebuilds_the_model(self, round_trip):
+        model = load_feeder(bundled_feeder_path())
+        copied = round_trip(model)
+        assert copied == model
+        assert hash(copied) == hash(model)
+        with pytest.raises(TypeError):
+            copied.loads["nope"] = ComplexPower(5.0, 0.0)
+        injections = {"12": ComplexPower(1.5, -0.8)}
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert repr(outcome(solve_feeder, copied, injections)) == repr(
+            outcome(solve_feeder, model, injections)
+        )
 
     def test_solver_tables_are_invisible(self):
         a = parse_feeder(FEEDER_TEXT)

@@ -4,13 +4,22 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_feeder import radial_feeders
 
 import feederlimits.sweep
 from feederlimits import bundled_feeder_path
-from feederlimits.errors import DomainError, NoFeasiblePointError
+from feederlimits.errors import (
+    ConvergenceError,
+    DomainError,
+    NoFeasiblePointError,
+    VoltageLimitError,
+)
 from feederlimits.feeder import (
     BranchSpec,
     FeederModel,
+    PowerFlowResult,
     load_feeder,
     single_branch_model,
     solve_feeder,
@@ -29,6 +38,64 @@ from feederlimits.twobus import ComplexPower, Impedance
 
 SQ2 = math.sqrt(2.0)
 Z45 = Impedance(1.0 / SQ2, 1.0 / SQ2)
+
+
+def full_scan(model, bus, config):
+    """Textbook frontier: every grid point solved, each column in grid order."""
+    v_cap = config.v_plus + 1e-9
+    frontier = []
+    for p in config.p_values():
+        best = None
+        for q in config.q_values():
+            try:
+                res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=v_cap)
+            except (ConvergenceError, VoltageLimitError):
+                continue
+            if any(
+                res.branch_currents[br.from_bus, br.to_bus] > br.ampacity + 1e-9
+                for br in model.branches
+            ):
+                continue
+            p0 = res.s0_sub.p
+            if config.p_plus is not None and p0 > config.p_plus + 1e-9:
+                continue
+            if best is None or p0 > best.p0_sub or (p0 == best.p0_sub and abs(q) < abs(best.q_gen)):
+                max_current = max(res.branch_currents.values())
+                best = FrontierPoint(p, q, p0, max_current, abs(res.voltages[bus]))
+        if best is not None:
+            frontier.append(best)
+    return frontier
+
+
+@st.composite
+def leaf_sweeps(draw):
+    """A random radial feeder with random ampacities, the generator at a
+    leaf, and a sweep grid with a random voltage and substation limit."""
+    model, _ = draw(radial_feeders())
+    ampacity = st.one_of(st.floats(0.3, 3.0), st.just(math.inf))
+    branches = tuple(dataclasses.replace(br, ampacity=draw(ampacity)) for br in model.branches)
+    model = dataclasses.replace(model, branches=branches)
+    ends = [bus for br in branches for bus in (br.from_bus, br.to_bus)]
+    leaves = [bus for bus in model.buses if bus != model.source and ends.count(bus) == 1]
+    config = SweepConfig(
+        p_range=(-0.5, 2.0, 0.25),
+        q_range=(-2.0, 1.0, 0.25),
+        v_plus=draw(st.floats(0.95, 1.2)),
+        p_plus=draw(st.none() | st.floats(0.0, 1.5)),
+    )
+    return model, draw(st.sampled_from(leaves)), config
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = feederlimits.sweep.solve_feeder
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(feederlimits.sweep, "solve_feeder", counting)
+    return calls
 
 
 def coarse_config(**overrides):
@@ -130,6 +197,40 @@ class TestBestReactivePoint:
         pt = best_reactive_point(model, "g", 0.2, [0.0], v_plus=1.06, p_plus=0.05)
         assert pt is None
 
+    def test_exact_tie_goes_to_lower_grid_index(self):
+        # complex arithmetic is exactly conjugate-symmetric, so on a purely
+        # resistive branch q = ±0.1 transfer the same power to the bit
+        model = single_branch_model(Impedance(0.5, 0.0), v0=1.0)
+        p0 = {
+            q: solve_feeder(model, {"g": ComplexPower(0.1, q)}, v_cap=1.06 + 1e-9).s0_sub.p
+            for q in (-0.1, 0.1)
+        }
+        assert p0[-0.1].hex() == p0[0.1].hex()
+        pt = best_reactive_point(model, "g", 0.1, [-0.3, -0.1, 0.1, 0.3], 1.06, None)
+        assert pt.q_gen == -0.1
+        assert pt.p0_sub == p0[-0.1]
+
+    def test_exact_tie_goes_to_lower_grid_index_out_of_scan_order(self, monkeypatch):
+        # the load's reactive power makes q = 0.3 the point of smaller
+        # current bound, so it is solved before q = -0.3 at grid index 0
+        model = FeederModel(
+            buses=("0", "g"),
+            branches=(BranchSpec("0", "g", Z45, math.inf),),
+            loads={"g": ComplexPower(0.0, 0.2)},
+            source="0",
+            v0=1.0,
+        )
+        calls = []
+
+        def same_transfer(model, injections, v_cap):
+            calls.append(injections["g"].q)
+            return PowerFlowResult({"0": 1.0, "g": 1.0}, {("0", "g"): 0.1}, ComplexPower(-1.0, 0.0), 1)
+
+        monkeypatch.setattr(feederlimits.sweep, "solve_feeder", same_transfer)
+        pt = best_reactive_point(model, "g", 0.1, [-0.3, 0.3], 1.06, None)
+        assert calls == [0.3, -0.3]
+        assert pt.q_gen == -0.3
+
     def test_stored_point_reproducible(self):
         model = single_branch_model(Z45, v0=1.0)
         q_values = [round(-1.0 + 0.05 * k, 10) for k in range(29)]
@@ -204,6 +305,77 @@ class TestRunSweep:
         model = load_feeder(bundled_feeder_path())
         with pytest.raises(DomainError):
             run_sweep(model, bus, coarse_config())
+
+    @settings(max_examples=60, deadline=None)
+    @given(leaf_sweeps())
+    def test_pruned_scan_equals_full_scan(self, sweep):
+        model, bus, config = sweep
+        frontier = full_scan(model, bus, config)
+        if not frontier:
+            with pytest.raises(NoFeasiblePointError):
+                run_sweep(model, bus, config)
+            return
+        report = run_sweep(model, bus, config)
+
+        def bits(points):
+            return [[float.hex(v) for v in dataclasses.astuple(pt)] for pt in points]
+
+        assert bits(report.frontier) == bits(frontier)
+        marginal = max(frontier, key=lambda pt: pt.p0_sub)
+        thermal = max(frontier, key=lambda pt: pt.p_gen)
+        measured = (
+            report.measured_pg_marginal,
+            report.measured_p0_marginal,
+            report.measured_pg_thermal,
+            report.measured_p0_thermal,
+        )
+        expected = (marginal.p_gen, marginal.p0_sub, thermal.p_gen, thermal.p0_sub)
+        assert [v.hex() for v in measured] == [v.hex() for v in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(leaf_sweeps())
+    def test_bounds_hold_at_every_point(self, sweep):
+        # sharper than comparing frontiers: the best point of a column is
+        # usually among the first scanned, so a bound that is too tight
+        # would rarely change one
+        model, bus, config = sweep
+        scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus)
+        feeding = next(key for key in scan.ampacity if bus in key)
+        for p in config.p_values():
+            for q in config.q_values():
+                try:
+                    res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=scan.v_cap)
+                except (ConvergenceError, VoltageLimitError):
+                    continue
+                feasible = all(i <= scan.ampacity[key] for key, i in res.branch_currents.items())
+                kept = scan.column(p, [q])
+                if not kept:
+                    assert not feasible
+                    continue
+                i_min = kept[0][0]
+                assert res.branch_currents[feeding] >= i_min
+                if feasible:
+                    assert res.s0_sub.p <= scan.transfer_bound(p, i_min)
+
+    def test_leaf_sweep_solves_few_points(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        model = single_branch_model(Z45, v0=1.0, ampacity=0.9)
+        config = coarse_config(p_range=(0.0, 4.0, 0.1), q_range=(-4.0, 4.0, 0.1))
+        report = run_sweep(model, "g", config)
+        assert report.frontier
+        points = len(config.p_values()) * len(config.q_values())
+        # the ampacity rule alone leaves 156 of these 3,321 points, 4.7 %;
+        # the transfer bound cuts that to 62
+        assert len(calls) < 0.03 * points
+
+    def test_sweep_below_a_junction_solves_every_point(self, monkeypatch):
+        # feeder12's bus 8 feeds buses 11 and 12, so it has no bound
+        calls = count_solves(monkeypatch)
+        model = load_feeder(bundled_feeder_path())
+        config = coarse_config(p_range=(0.0, 3.2, 0.2), q_range=(-2.6, 0.4, 0.2))
+        report = run_sweep(model, "8", config)
+        assert report.frontier
+        assert len(calls) == len(config.p_values()) * len(config.q_values())
 
     def test_feeder_load_shifts_measured_generation(self):
         load = ComplexPower(0.3, 0.1)
