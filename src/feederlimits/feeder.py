@@ -197,8 +197,12 @@ def solve_feeder(
     For a radius r, ρ = max(r, δ) makes the ball hold x; if then
     L·(r + δ) + ε ≤ r (ε for rounding), T maps B(y, r) into itself, so every
     later |V_k| ≥ |y_k| − r.  It rejects when max_k |y_k| − r > v_cap.  A
-    state it returns ran the same arithmetic as an uncapped call.
+    state it returns ran the same arithmetic as an uncapped call.  A cap ≤ 0
+    or NaN raises :class:`DomainError`.
     """
+    # written so that NaN fails the check
+    if not v_cap > 0.0:
+        raise DomainError(f"voltage cap must be positive: {v_cap!r}")
     # consumption = load - generation, per bus in BFS order
     cons = list(model._cons)
     if injections:

@@ -49,11 +49,7 @@ class SweepConfig:
                 raise DomainError("grid step must be positive")
             if hi < lo:
                 raise DomainError("empty grid range")
-        # written so that NaN fails the check
-        if not self.v_plus > 0.0:
-            raise DomainError(f"voltage limit must be positive: {self.v_plus!r}")
-        if self.p_plus is not None and not math.isfinite(self.p_plus):
-            raise DomainError(f"substation power limit must be finite: {self.p_plus!r}")
+        _check_limits(self.v_plus, self.p_plus)
         try:
             points = _grid_count(*self.p_range) * _grid_count(*self.q_range)
         except OverflowError:  # (hi - lo) / step overflowed to inf
@@ -66,6 +62,14 @@ class SweepConfig:
 
     def q_values(self) -> list[float]:
         return _grid(*self.q_range)
+
+
+def _check_limits(v_plus: float, p_plus: float | None) -> None:
+    # written so that NaN fails the check
+    if not v_plus > 0.0:
+        raise DomainError(f"voltage limit must be positive: {v_plus!r}")
+    if p_plus is not None and not math.isfinite(p_plus):
+        raise DomainError(f"substation power limit must be finite: {p_plus!r}")
 
 
 def _grid_count(lo: float, hi: float, step: float) -> int:
@@ -109,19 +113,11 @@ class SweepReport:
     errors: SweepErrors
 
 
-def improves(p0: float, q: float, best: FrontierPoint | None) -> bool:
-    """Frontier preference: larger transfer wins, exact ties go to smaller |q|."""
-    if best is None:
-        return True
-    if p0 != best.p0_sub:
-        return p0 > best.p0_sub
-    return abs(q) < abs(best.q_gen)
-
-
 class _ColumnScan:
-    """What a sweep decides once for all its columns: the voltage cap, the
-    ampacity test of each branch and, for a generator at a leaf bus, the
-    bounds that order and cut each column's scan.
+    """The column search of a sweep, with what it decides once for all its
+    columns: the voltage cap, the ampacity test of each branch, the
+    substation limit and, for a generator at a leaf bus, the bounds that
+    order and cut each column's scan.
 
     Let k be the generator bus and c = ``model._cons[k]`` − (p + jq), the
     solver's own consumption at k.  The bounds hold for every state that
@@ -162,7 +158,10 @@ class _ColumnScan:
     infinite b + m, and the column is scanned whole in grid order.
     """
 
-    def __init__(self, model: FeederModel, bus: str, v_plus: float):
+    def __init__(self, model: FeederModel, bus: str, v_plus: float, p_plus: float | None):
+        _check_limits(v_plus, p_plus)
+        self.model, self.bus = model, bus
+        self.p_cap = math.inf if p_plus is None else p_plus + _LIMIT_SLACK
         self.v_cap = v_cap = v_plus + _LIMIT_SLACK
         self.ampacity = {}
         at_bus = dict.fromkeys(model.buses, 0.0)
@@ -212,42 +211,41 @@ class _ColumnScan:
             return top
         return top - self.r * i_min * i_min
 
+    def best(self, p: float, q_values) -> FrontierPoint | None:
+        """Feasible point of the column at generation ``p`` with maximum
+        transferred power, or None when no grid point is feasible.
 
-def best_reactive_point(model, bus, p, q_values, v_plus, p_plus, scan=None):
-    """Feasible point with maximum transferred power at fixed generation.
+        Points rank by (p0, −|q|, −grid index), compared strictly: larger
+        transfer wins, exact ties go to the reactive power of smaller
+        magnitude, then to the lower grid index, as in a scan of
+        ``q_values`` in order.
+        """
+        best = best_rank = None
+        for i_min, at, q in self.column(p, q_values):
+            if best is not None and self.transfer_bound(p, i_min) < best.p0_sub:
+                break
+            try:
+                # the solver rejects every state with some |V| over the cap
+                res = solve_feeder(self.model, {self.bus: ComplexPower(p, q)}, v_cap=self.v_cap)
+            except (ConvergenceError, VoltageLimitError):
+                continue
+            if any(i > self.ampacity[key] for key, i in res.branch_currents.items()):
+                continue
+            p0 = res.s0_sub.p
+            if p0 > self.p_cap:
+                continue
+            rank = (p0, -abs(q), -at)
+            if best is None or rank > best_rank:
+                max_current = max(res.branch_currents.values())
+                best = FrontierPoint(p, q, p0, max_current, abs(res.voltages[self.bus]))
+                best_rank = rank
+        return best
 
-    Ties in transferred power break toward the reactive power of smallest
-    magnitude, then toward the lower grid index, as in a scan of
-    ``q_values`` in order.  Returns None when no grid point is feasible.
-    ``scan`` holds the tables that ``run_sweep`` builds once for all
-    columns with the same model, bus and ``v_plus``; without it they are
-    built here.
-    """
-    if scan is None:
-        scan = _ColumnScan(model, bus, v_plus)
-    v_cap, ampacity = scan.v_cap, scan.ampacity
-    best = best_at = None
-    for i_min, at, q in scan.column(p, q_values):
-        if best is not None and scan.transfer_bound(p, i_min) < best.p0_sub:
-            break
-        try:
-            # the solver rejects every state with some |V| over the cap
-            res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=v_cap)
-        except (ConvergenceError, VoltageLimitError):
-            continue
-        if any(i > ampacity[key] for key, i in res.branch_currents.items()):
-            continue
-        p0 = res.s0_sub.p
-        if p_plus is not None and p0 > p_plus + _LIMIT_SLACK:
-            continue
-        # out of grid order, an exact tie in p0 and |q| needs the index too
-        if improves(p0, q, best) or (
-            p0 == best.p0_sub and abs(q) == abs(best.q_gen) and at < best_at
-        ):
-            max_current = max(res.branch_currents.values())
-            vg = abs(res.voltages[bus])
-            best, best_at = FrontierPoint(p, q, p0, max_current, vg), at
-    return best
+
+def best_reactive_point(model, bus, p, q_values, v_plus, p_plus):
+    """Feasible point with maximum transferred power at generation ``p``, or
+    None: one column of :func:`run_sweep`, as :meth:`_ColumnScan.best` finds it."""
+    return _ColumnScan(model, bus, v_plus, p_plus).best(p, q_values)
 
 
 def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
@@ -258,11 +256,8 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
     """
     case, s_load = two_bus_equivalent(model, bus, v_plus=config.v_plus)
     q_values = config.q_values()
-    scan = _ColumnScan(model, bus, config.v_plus)
-    columns = (
-        best_reactive_point(model, bus, p, q_values, config.v_plus, config.p_plus, scan)
-        for p in config.p_values()
-    )
+    scan = _ColumnScan(model, bus, config.v_plus, config.p_plus)
+    columns = (scan.best(p, q_values) for p in config.p_values())
     frontier = [pt for pt in columns if pt is not None]
     if not frontier:
         raise NoFeasiblePointError("no grid point satisfies all constraints")

@@ -561,6 +561,14 @@ class TestSolveFeeder:
         assert float(cap) == v_cap
         assert float(floor) > v_cap
 
+    @pytest.mark.parametrize("v_cap", [math.nan, 0.0, -1.0])
+    def test_nonpositive_voltage_cap_rejected(self, v_cap):
+        # with a NaN cap every comparison fails, so |Vg| = 1.2866 came back
+        # from a point that the cap 1.06 rejects
+        model = single_branch_model(Impedance(0.5, 0.5), v0=1.0)
+        with pytest.raises(DomainError, match="voltage cap must be positive"):
+            solve_feeder(model, {"g": ComplexPower(0.9, 0.0)}, v_cap=v_cap)
+
     @settings(max_examples=300, deadline=None)
     @given(radial_feeders(), st.integers(1, 40), st.floats(0.0, 0.3))
     def test_voltage_floor_holds_for_every_later_sweep(self, feeder, start, cut):

@@ -30,7 +30,6 @@ from feederlimits.sweep import (
     SweepConfig,
     best_reactive_point,
     frontier_curves,
-    improves,
     locus_estimate,
     run_sweep,
 )
@@ -84,6 +83,53 @@ def leaf_sweeps(draw):
         p_plus=draw(st.none() | st.floats(0.0, 1.5)),
     )
     return model, draw(st.sampled_from(leaves)), config
+
+
+def bits(points):
+    return [[float.hex(v) for v in dataclasses.astuple(pt)] for pt in points]
+
+
+def assert_columns_agree(model, bus, config):
+    """Every point of run_sweep's frontier is best_reactive_point's point for
+    its column, to the bit, and every column run_sweep drops has none."""
+    q_values = config.q_values()
+    columns = [
+        best_reactive_point(model, bus, p, q_values, config.v_plus, config.p_plus)
+        for p in config.p_values()
+    ]
+    expected = [pt for pt in columns if pt is not None]
+    if not expected:
+        with pytest.raises(NoFeasiblePointError):
+            run_sweep(model, bus, config)
+        return
+    assert bits(run_sweep(model, bus, config).frontier) == bits(expected)
+
+
+def reactive_load_model(load_q):
+    """One branch with a reactive load at the generator bus, so that the scan
+    tries the reactive powers q in order of |q − load_q|, not in grid order."""
+    return FeederModel(
+        buses=("0", "g"),
+        branches=(BranchSpec("0", "g", Z45, math.inf),),
+        loads={"g": ComplexPower(0.0, load_q)},
+        source="0",
+        v0=1.0,
+    )
+
+
+def fake_transfers(monkeypatch, p0_at):
+    """Make the sweep's solver transfer ``p0_at[q]`` at each q, well within
+    every limit; returns the list of q solved, in order."""
+    calls = []
+
+    def solve(model, injections, v_cap):
+        q = injections["g"].q
+        calls.append(q)
+        s0 = ComplexPower(p0_at[q], 0.0)
+        return PowerFlowResult({"0": 1.0, "g": 1.0}, {("0", "g"): 0.1}, s0, 1)
+
+    monkeypatch.setattr(feederlimits.sweep, "solve_feeder", solve)
+    return calls
 
 
 def count_solves(monkeypatch):
@@ -159,22 +205,6 @@ class TestSweepConfig:
         assert len(config.p_values()) == 1000
 
 
-class TestImproves:
-    def test_anything_beats_nothing(self):
-        assert improves(0.0, 0.5, None)
-
-    def test_larger_transfer_wins(self):
-        best = FrontierPoint(1.0, -0.5, 0.30, 0.4, 1.02)
-        assert improves(0.31, -0.9, best)
-        assert not improves(0.29, 0.0, best)
-
-    def test_exact_tie_prefers_smaller_reactive_magnitude(self):
-        best = FrontierPoint(1.0, -0.5, 0.30, 0.4, 1.02)
-        assert improves(0.30, 0.2, best)
-        assert not improves(0.30, -0.7, best)
-        assert not improves(0.30, -0.5, best)
-
-
 class TestBestReactivePoint:
     def test_discards_voltage_violations(self):
         model = single_branch_model(Z45, v0=1.0)
@@ -213,23 +243,52 @@ class TestBestReactivePoint:
     def test_exact_tie_goes_to_lower_grid_index_out_of_scan_order(self, monkeypatch):
         # the load's reactive power makes q = 0.3 the point of smaller
         # current bound, so it is solved before q = -0.3 at grid index 0
-        model = FeederModel(
-            buses=("0", "g"),
-            branches=(BranchSpec("0", "g", Z45, math.inf),),
-            loads={"g": ComplexPower(0.0, 0.2)},
-            source="0",
-            v0=1.0,
-        )
-        calls = []
-
-        def same_transfer(model, injections, v_cap):
-            calls.append(injections["g"].q)
-            return PowerFlowResult({"0": 1.0, "g": 1.0}, {("0", "g"): 0.1}, ComplexPower(-1.0, 0.0), 1)
-
-        monkeypatch.setattr(feederlimits.sweep, "solve_feeder", same_transfer)
-        pt = best_reactive_point(model, "g", 0.1, [-0.3, 0.3], 1.06, None)
+        calls = fake_transfers(monkeypatch, {-0.3: -1.0, 0.3: -1.0})
+        pt = best_reactive_point(reactive_load_model(0.2), "g", 0.1, [-0.3, 0.3], 1.06, None)
         assert calls == [0.3, -0.3]
         assert pt.q_gen == -0.3
+
+    @pytest.mark.parametrize(
+        "p0_at, winner",
+        [
+            ({-0.5: 0.30}, -0.5),
+            ({-0.5: 0.30, -0.9: 0.31}, -0.9),
+            ({-0.5: 0.30, 0.0: 0.29}, -0.5),
+            ({-0.5: 0.30, 0.2: 0.30}, 0.2),
+            ({-0.5: 0.30, -0.7: 0.30}, -0.5),
+            ({-0.5: 0.30, 0.5: 0.30}, -0.5),
+        ],
+        ids=[
+            "a-point-beats-none",
+            "larger-transfer-wins",
+            "smaller-transfer-loses",
+            "tie-goes-to-smaller-abs-q",
+            "tie-stays-at-smaller-abs-q",
+            "tie-in-abs-q-stays-at-lower-index",
+        ],
+    )
+    def test_points_rank_by_transfer_then_abs_q_then_grid_index(self, monkeypatch, p0_at, winner):
+        # the load puts q = -0.5 first in the scan; each other point then
+        # challenges it, from a higher or a lower grid index
+        calls = fake_transfers(monkeypatch, p0_at)
+        q_values = sorted(p0_at)
+        pt = best_reactive_point(reactive_load_model(-0.5), "g", 0.1, q_values, 1.06, None)
+        assert calls == sorted(q_values, key=lambda q: abs(q + 0.5))
+        assert (pt.q_gen, pt.p0_sub) == (winner, p0_at[winner])
+
+    @pytest.mark.parametrize("v_plus", [math.nan, 0.0, -1.0])
+    def test_nonpositive_voltage_limit_rejected(self, v_plus):
+        # a NaN cap fails every comparison, so it would cap nothing, and a
+        # limit of 0 would reject every point in silence
+        model = single_branch_model(Impedance(0.5, 0.5), v0=1.0)
+        with pytest.raises(DomainError, match="voltage limit must be positive"):
+            best_reactive_point(model, "g", 0.9, [0.0], v_plus, None)
+
+    @pytest.mark.parametrize("p_plus", [math.nan, math.inf, -math.inf])
+    def test_non_finite_substation_limit_rejected(self, p_plus):
+        model = single_branch_model(Impedance(0.5, 0.5), v0=1.0)
+        with pytest.raises(DomainError, match="substation power limit must be finite"):
+            best_reactive_point(model, "g", 0.1, [-0.2, 0.0], 1.06, p_plus)
 
     def test_stored_point_reproducible(self):
         model = single_branch_model(Z45, v0=1.0)
@@ -298,10 +357,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("bus", ["1", "zz"])
     def test_bad_bus_fails_before_any_power_flow(self, monkeypatch, bus):
-        def no_power_flow(*args):
+        def no_power_flow(*args, **kwargs):
             raise AssertionError("power flow ran before the bus was checked")
 
-        monkeypatch.setattr(feederlimits.sweep, "best_reactive_point", no_power_flow)
+        monkeypatch.setattr(feederlimits.sweep, "solve_feeder", no_power_flow)
         model = load_feeder(bundled_feeder_path())
         with pytest.raises(DomainError):
             run_sweep(model, bus, coarse_config())
@@ -316,10 +375,6 @@ class TestRunSweep:
                 run_sweep(model, bus, config)
             return
         report = run_sweep(model, bus, config)
-
-        def bits(points):
-            return [[float.hex(v) for v in dataclasses.astuple(pt)] for pt in points]
-
         assert bits(report.frontier) == bits(frontier)
         marginal = max(frontier, key=lambda pt: pt.p0_sub)
         thermal = max(frontier, key=lambda pt: pt.p_gen)
@@ -339,7 +394,7 @@ class TestRunSweep:
         # usually among the first scanned, so a bound that is too tight
         # would rarely change one
         model, bus, config = sweep
-        scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus)
+        scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus, config.p_plus)
         feeding = next(key for key in scan.ampacity if bus in key)
         for p in config.p_values():
             for q in config.q_values():
@@ -356,6 +411,16 @@ class TestRunSweep:
                 assert res.branch_currents[feeding] >= i_min
                 if feasible:
                     assert res.s0_sub.p <= scan.transfer_bound(p, i_min)
+
+    @settings(max_examples=60, deadline=None)
+    @given(leaf_sweeps())
+    def test_columns_equal_best_reactive_point(self, sweep):
+        assert_columns_agree(*sweep)
+
+    def test_columns_equal_best_reactive_point_below_a_junction(self):
+        model = load_feeder(bundled_feeder_path())
+        config = coarse_config(p_range=(0.0, 3.2, 0.2), q_range=(-2.6, 0.4, 0.2))
+        assert_columns_agree(model, "8", config)
 
     def test_leaf_sweep_solves_few_points(self, monkeypatch):
         calls = count_solves(monkeypatch)
