@@ -116,46 +116,57 @@ class SweepReport:
 class _ColumnScan:
     """The column search of a sweep, with what it decides once for all its
     columns: the voltage cap, the ampacity test of each branch, the
-    substation limit and, for a generator at a leaf bus, the bounds that
-    order and cut each column's scan.
+    substation limit and the bounds that order and cut each column's scan.
 
-    Let k be the generator bus and c = ``model._cons[k]`` − (p + jq), the
-    solver's own consumption at k.  The bounds hold for every state that
-    ``solve_feeder(…, v_cap)`` returns and that passes the ampacity test;
-    any other point is discarded anyway.
+    Let k be the generator bus, c = ``model._cons[k]`` − (p + jq) the
+    solver's own consumption at k, and a_b a branch's ampacity plus slack.
+    The bounds hold for every state that ``solve_feeder(…, v_cap)`` returns
+    and that passes the ampacity test; any other point is discarded anyway.
+    Let x be the iterate before the returned one y, so |y_j − x_j| <
+    ``_TOL``, J_j = conj(c_j/x_j) the current drawn at bus j, and I_b the
+    sum of the J_j below branch b.  The factor e = max(1e-12, 2⁻⁴⁵·n) on the
+    n-bus feeder rounds every bound outward: it covers the rounding of the
+    solver's sums and quotients and of the bounds' own evaluation.
 
-    * Current.  At a leaf, the branch feeding k carries k's own current
-      alone, |I_k| = |c|/|x_k|, where x is the iterate before the returned
-      one y.  Every |y_j| ≤ v_cap and |y − x| < ``_TOL``, so
-      |I_k| ≥ i_min = |c|/(v_cap + 1e-9)·(1 − 1e-12); the factor covers
-      the rounding of |y_k|, of the division and of |·|.  (a) A point with
-      i_min above the branch's ampacity plus slack fails the ampacity
-      test, so it is not solved.
-    * Transfer.  With J_j = conj(c_j/x_j) the current drawn at bus j and
-      the branch currents I_b the sums of the J_j below them, the forward
-      sweep gives exactly p0 = −Σ Re c_j − Σ r_b|I_b|²
-      − Re Σ (y_j − x_j)·conj(J_j).  Here −Σ Re c_j = p − P_loads and the
-      losses are at least r_k·|I_k|², so p0 ≤ b + m with the bound
-      b = p − P_loads − r_k·i_min² and the margin
-      m = ``_TOL``·A + 1e-14·n²·v_cap·A + 1e-9·(1 + |p| + |P_loads| + r_k·i_min²).
-      A bounds Σ|J_j| over the n-bus feeder's buses with nonzero
-      consumption, k included: each |J_j| is at most the sum of the
-      currents in the branches at j, and a point passing the ampacity test
-      keeps each of them within its ampacity plus slack, so A is the sum
-      of those over the branches at each such bus, and ``_TOL``·A bounds
-      the last term.  The solver's sums and products hold currents within
-      the ampacities and voltages within v_cap, so they round p0 by at most
-      about 2n²·2⁻⁵³·v_cap·A, which the second term covers; the third
-      covers the rounding of b and of the bound's own evaluation.  An
-      infinite ampacity among those in A makes m infinite, which turns
-      rule (b) off but not rule (a).
+    * Current at k.  Every |y_j| ≤ v_cap, so
+      |J_k| ≥ i_min = |c|/(v_cap + 1e-9)·(1 − e).
+    * Voltage floor.  The forward sweep gives y_j = y_parent − z_b·I_b, and
+      the ampacity test keeps |I_b| ≤ a_b, so
+      |y_j| ≥ F_j = V0·(1 − e) − Σ_{b on path(j)} |z_b|·a_b·(1 + e), and
+      |x_j| > F_j − ``_TOL``.  Every other bus j ≠ k then draws
+      |J_j| ≤ |c_j|/(F_j − ``_TOL``)·(1 + e).  D_b sums that over the buses
+      j ≠ k below b with nonzero consumption; it is +inf where some
+      F_j − ``_TOL`` is not positive, or is NaN (a zero impedance with an
+      infinite ampacity), since no floor is proved there.
+    * Current on the path.  Each branch b on the source → k path carries
+      I_b = J_k + Σ_{j ≠ k below b} J_j, so |I_b| ≥ i_min − D_b.  This
+      holds at a leaf, where D_b of k's own branch is 0, and at a junction
+      alike.  (a) A point with i_min > a_b + D_b on some path branch fails
+      the ampacity test, so it is not solved.
+    * Transfer.  The forward sweep gives exactly p0 = −Σ Re c_j
+      − Σ_b r_b|I_b|² − Re Σ (y_j − x_j)·conj(J_j).  Here −Σ Re c_j =
+      p − P_loads and the losses are at least
+      L = Σ_{b on path(k)} r_b·max(0, i_min − D_b)², so p0 ≤ b + m with the
+      bound b = p − P_loads − L and the margin
+      m = ``_TOL``·A + 1e-14·n²·v_cap·A + 1e-9·(1 + |p| + |P_loads| + L).
+      A bounds Σ|J_j| over the buses with nonzero consumption, k included:
+      each |J_j| is at most the sum of the currents in the branches at j,
+      and a point passing the ampacity test keeps each of them within a_b,
+      so A is the sum of those over the branches at each such bus, and
+      ``_TOL``·A bounds the last term.  The solver's sums and products hold
+      currents within the ampacities and voltages within v_cap, so they
+      round p0 by at most about 2n²·2⁻⁵³·v_cap·A, which the second term
+      covers; the third covers the rounding of b and of the bound's own
+      evaluation.  An infinite ampacity among those in A makes m infinite,
+      which turns rule (b) off but not rule (a).
     * Scan.  b + m falls as i_min grows, so a column is scanned by
       ascending i_min, ties in grid order.  (b) Once b + m is below the
       best p0 found, no point left can beat it, nor even tie it.
 
-    At a bus that is not a leaf, downstream loads draw currents at unknown
-    voltages, so there is no bound: every point keeps i_min = 0 and an
-    infinite b + m, and the column is scanned whole in grid order.
+    At an unknown or source bus, which the solver rejects, every point
+    keeps i_min = 0 and an infinite b + m, so the column is scanned in grid
+    order.  Without a finite cap, i_min = 0·|c| (NaN once |c| overflows)
+    and m is infinite, so no point is cut either.
     """
 
     def __init__(self, model: FeederModel, bus: str, v_plus: float, p_plus: float | None):
@@ -171,35 +182,53 @@ class _ColumnScan:
             at_bus[br.from_bus] += a
             at_bus[br.to_bus] += a
         k = model._pos.get(bus)
-        # no bound at an unknown or source bus (the solver rejects those),
-        # above another bus, or without a finite cap
-        self.leaf = bool(k) and k not in model._parent and v_cap < math.inf
-        if not self.leaf:
-            self.offset = math.inf
+        if not k:
+            self.cons, self.i_scale, self.i_cut = 0j, 0.0, math.inf
+            self.path, self.offset = (), math.inf
             return
-        self.cons = model._cons[k]
-        self.i_plus = self.ampacity[model._branch_keys[k - 1]]
-        self.i_scale = (1.0 - 1e-12) / (v_cap + 1e-9)
-        self.r = model._in_branch[k].z.r * (1.0 - 1e-9)
-        drawn = sum(at_bus[b] for b, j in model._pos.items() if j == k or model._cons[j])
         n = len(model.buses)
+        e = max(1e-12, n * 2.0**-45)
+        # a_b of the branch feeding each bus, the drop Σ|z_b|·a_b down to it,
+        # and the sum of the other buses' |J_j| bounds at or below it
+        amp = [0.0, *(self.ampacity[key] for key in model._branch_keys)]
+        drop = [0.0] * n
+        below = [0.0] * n
+        for j, parent, _ in model._forward:
+            drop[j] = drop[parent] + model._z_abs[j] * amp[j]
+            c = abs(model._cons[j])
+            if c and j != k:
+                lo = model.v0 * (1.0 - e) - drop[j] * (1.0 + e) - _TOL
+                # written so that NaN gives no bound
+                below[j] = c / lo * (1.0 + e) if lo > 0.0 else math.inf
+        for j, parent in model._backward:
+            below[parent] += below[j]
+        # (branch, D_b, r_b) from k's own branch up to the source's
+        self.path = []
+        j = k
+        while j:
+            r = model._in_branch[j].z.r * (1.0 - 1e-9)
+            self.path.append((model._branch_keys[j - 1], below[j], r))
+            j = model._parent[j]
+        self.i_cut = min(self.ampacity[key] + d for key, d, _ in self.path)
+        self.cons = model._cons[k]
+        self.i_scale = (1.0 - e) / (v_cap + 1e-9)
+        drawn = sum(at_bus[b] for b, j in model._pos.items() if j == k or model._cons[j])
         p_loads = model.total_load().p
-        # b + m = p + 1e-9·|p| + offset − r_k·(1 − 1e-9)·i_min²
+        # b + m = p + 1e-9·|p| + offset − L·(1 − 1e-9)
         self.offset = (
             drawn * (_TOL + 1e-14 * n * n * v_cap) + 1e-9 * (1.0 + abs(p_loads)) - p_loads
         )
 
     def column(self, p: float, q_values) -> list[tuple[float, int, float]]:
         """(i_min, grid index, q) of each point rule (a) keeps, in scan order."""
-        if not self.leaf:
-            return [(0.0, at, q) for at, q in enumerate(q_values)]
         # c = cons − (p + jq), part by part as complex subtraction does it
         c_re, c_im = self.cons.real - p, self.cons.imag
-        scale, i_plus = self.i_scale, self.i_plus
+        scale, i_cut = self.i_scale, self.i_cut
         kept = []
         for at, q in enumerate(q_values):
             i_min = math.hypot(c_re, c_im - q) * scale
-            if i_min <= i_plus:
+            # written so that NaN keeps the point
+            if not i_min > i_cut:
                 kept.append((i_min, at, q))
         kept.sort()
         return kept
@@ -209,7 +238,13 @@ class _ColumnScan:
         top = p + 1e-9 * abs(p) + self.offset
         if top == math.inf:
             return top
-        return top - self.r * i_min * i_min
+        # D_b grows towards the source, so the first D_b ≥ i_min ends the losses
+        for _, d, r in self.path:
+            if not i_min > d:
+                break
+            t = i_min - d
+            top -= r * t * t
+        return top
 
     def best(self, p: float, q_values) -> FrontierPoint | None:
         """Feasible point of the column at generation ``p`` with maximum

@@ -200,6 +200,21 @@ class TestLimitsCommand:
             "thermal limit does not intersect the voltage-limit locus (root argument -inf < 0)"
         )
 
+    def test_underflowing_root_argument_is_printed_from_its_factors(self, capsys):
+        # 0.25·outer·inner ≈ -3.8e-603 is below the float range, while each
+        # V² factor is near 1.2e-301; the text must not read -0.000e+00
+        code, report = run_json(
+            capsys,
+            ["limits", "--v0", "1e-150", "--v-plus", "1.06e-150", "--r", "0.5", "--x", "0.5",
+             "--i-plus", "1e-155"],
+        )
+        assert code == 0
+        assert report["thermal"] is None
+        assert report["thermal_error"] == (
+            "thermal limit does not intersect the voltage-limit locus "
+            "(root argument -3.819e-603 < 0)"
+        )
+
     def test_thermal_point_at_huge_voltages_scales_from_one_pu(self, capsys):
         # the thermal point's V⁴ terms would leave the float range here
         line = ["--r", "0.5", "--x", "0.5"]

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -187,6 +188,36 @@ def radial_feeders(draw):
     return model, {draw(st.sampled_from(names[1:])): gen}
 
 
+def deep_feeder(seed, n=34):
+    """Seeded synthetic radial feeder of ``n`` buses, at IEEE 34-bus scale.
+
+    Bus "1" is the source at 1.05 pu.  A main of 2n/3 buses, with R/X of
+    1.4 to 1.8 and ampacities of 3.0 to 3.6 pu, ends at a leaf that holds a
+    0.3 + j0.06 pu load.  Laterals of 2 to 3 buses, with ampacity 0.6 pu,
+    hang off seeded inner buses of the main; each lateral bus holds a light
+    load of 0.1 to 1 milli-pu.  Returns the model and the main's far leaf.
+    """
+    rng = random.Random(seed)
+    main = 2 * n // 3
+    branches = []
+    for k in range(1, main):
+        r = 0.0085 * rng.uniform(0.6, 1.4)
+        z = Impedance(r, r / rng.uniform(1.4, 1.8))
+        branches.append(BranchSpec(str(k), str(k + 1), z, rng.uniform(3.0, 3.6)))
+    loads = {str(main): ComplexPower(0.3, 0.06)}
+    bus = main + 1
+    while bus <= n:
+        prev = str(rng.randrange(2, main))
+        for _ in range(min(rng.randint(2, 3), n + 1 - bus)):
+            s = rng.uniform(0.5, 1.5)
+            branches.append(BranchSpec(prev, str(bus), Impedance(0.012 * s, 0.009 * s), 0.6))
+            p = rng.uniform(1e-4, 1e-3)
+            loads[str(bus)] = ComplexPower(p, 0.3 * p)
+            prev, bus = str(bus), bus + 1
+    buses = tuple(str(k) for k in range(1, n + 1))
+    return FeederModel(buses, tuple(branches), loads, "1", 1.05), str(main)
+
+
 class TestModelValidation:
     def test_unknown_source_rejected(self):
         with pytest.raises(TopologyError):
@@ -250,6 +281,14 @@ class TestModelValidation:
         b = load_feeder(bundled_feeder_path())
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_deep_feeder_is_seeded_and_ends_at_a_leaf(self):
+        model, far = deep_feeder(seed=7)
+        assert deep_feeder(seed=7) == (model, far)
+        assert deep_feeder(seed=8)[0] != model
+        assert len(model.buses) == 34 and far == "22"
+        assert len(model.path_to(far)) == 21
+        assert [bus for br in model.branches for bus in (br.from_bus, br.to_bus)].count(far) == 1
 
     @pytest.mark.parametrize(
         "round_trip", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy], ids=["pickle", "deepcopy"]

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_feeder import radial_feeders
+from test_feeder import deep_feeder, radial_feeders
 
 import feederlimits.sweep
 from feederlimits import bundled_feeder_path
@@ -23,6 +23,7 @@ from feederlimits.feeder import (
     load_feeder,
     single_branch_model,
     solve_feeder,
+    thevenin_impedance,
 )
 from feederlimits.limits import TwoBusCase, marginal_transfer, thermal_limit
 from feederlimits.sweep import (
@@ -67,22 +68,28 @@ def full_scan(model, bus, config):
 
 
 @st.composite
-def leaf_sweeps(draw):
-    """A random radial feeder with random ampacities, the generator at a
-    leaf, and a sweep grid with a random voltage and substation limit."""
+def bus_sweeps(draw):
+    """A random radial feeder with random ampacities, the generator at any
+    bus but the source, and a sweep grid with a random voltage and
+    substation limit.  Half the time the loads are scaled to at most 1e-3 pu
+    and the ampacities kept within 1 pu, so that the voltage floors are
+    more often positive and the other buses' currents bounded."""
     model, _ = draw(radial_feeders())
-    ampacity = st.one_of(st.floats(0.3, 3.0), st.just(math.inf))
+    light = draw(st.booleans())
+    ampacity = st.floats(0.3, 1.0) if light else st.floats(0.3, 3.0) | st.just(math.inf)
     branches = tuple(dataclasses.replace(br, ampacity=draw(ampacity)) for br in model.branches)
-    model = dataclasses.replace(model, branches=branches)
-    ends = [bus for br in branches for bus in (br.from_bus, br.to_bus)]
-    leaves = [bus for bus in model.buses if bus != model.source and ends.count(bus) == 1]
+    loads = model.loads
+    if light:
+        loads = {bus: ComplexPower(1e-3 * s.p, 1e-3 * s.q) for bus, s in loads.items()}
+    model = dataclasses.replace(model, branches=branches, loads=loads)
     config = SweepConfig(
         p_range=(-0.5, 2.0, 0.25),
         q_range=(-2.0, 1.0, 0.25),
         v_plus=draw(st.floats(0.95, 1.2)),
         p_plus=draw(st.none() | st.floats(0.0, 1.5)),
     )
-    return model, draw(st.sampled_from(leaves)), config
+    buses = [bus for bus in model.buses if bus != model.source]
+    return model, draw(st.sampled_from(buses)), config
 
 
 def bits(points):
@@ -290,6 +297,18 @@ class TestBestReactivePoint:
         with pytest.raises(DomainError, match="substation power limit must be finite"):
             best_reactive_point(model, "g", 0.1, [-0.2, 0.0], 1.06, p_plus)
 
+    def test_without_a_finite_cap_no_point_is_cut(self):
+        # i_min = |c|·0 is NaN here, since |c| overflows; the point is feasible
+        model = FeederModel(
+            buses=("0", "g"),
+            branches=(BranchSpec("0", "g", Impedance(0.0, 0.0), math.inf),),
+            loads={},
+            source="0",
+            v0=2.0,
+        )
+        pt = best_reactive_point(model, "g", 1.5e308, [1.5e308], math.inf, None)
+        assert (pt.q_gen, pt.p0_sub, pt.vg) == (1.5e308, 1.5e308, 2.0)
+
     def test_stored_point_reproducible(self):
         model = single_branch_model(Z45, v0=1.0)
         q_values = [round(-1.0 + 0.05 * k, 10) for k in range(29)]
@@ -366,7 +385,7 @@ class TestRunSweep:
             run_sweep(model, bus, coarse_config())
 
     @settings(max_examples=60, deadline=None)
-    @given(leaf_sweeps())
+    @given(bus_sweeps())
     def test_pruned_scan_equals_full_scan(self, sweep):
         model, bus, config = sweep
         frontier = full_scan(model, bus, config)
@@ -388,14 +407,13 @@ class TestRunSweep:
         assert [v.hex() for v in measured] == [v.hex() for v in expected]
 
     @settings(max_examples=60, deadline=None)
-    @given(leaf_sweeps())
+    @given(bus_sweeps())
     def test_bounds_hold_at_every_point(self, sweep):
         # sharper than comparing frontiers: the best point of a column is
         # usually among the first scanned, so a bound that is too tight
         # would rarely change one
         model, bus, config = sweep
         scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus, config.p_plus)
-        feeding = next(key for key in scan.ampacity if bus in key)
         for p in config.p_values():
             for q in config.q_values():
                 try:
@@ -407,13 +425,14 @@ class TestRunSweep:
                 if not kept:
                     assert not feasible
                     continue
-                i_min = kept[0][0]
-                assert res.branch_currents[feeding] >= i_min
                 if feasible:
+                    i_min = kept[0][0]
+                    for key, d, _ in scan.path:
+                        assert res.branch_currents[key] >= i_min - d
                     assert res.s0_sub.p <= scan.transfer_bound(p, i_min)
 
     @settings(max_examples=60, deadline=None)
-    @given(leaf_sweeps())
+    @given(bus_sweeps())
     def test_columns_equal_best_reactive_point(self, sweep):
         assert_columns_agree(*sweep)
 
@@ -433,14 +452,68 @@ class TestRunSweep:
         # the transfer bound cuts that to 62
         assert len(calls) < 0.03 * points
 
-    def test_sweep_below_a_junction_solves_every_point(self, monkeypatch):
-        # feeder12's bus 8 feeds buses 11 and 12, so it has no bound
-        calls = count_solves(monkeypatch)
+    @pytest.mark.parametrize(
+        "bus, solved",
+        # feeder12's bus 8 feeds buses 11 and 12; without the losses of the
+        # whole path both solve more points: all 272 at bus 8, 208 at bus 12
+        [("8", 243), ("12", 137)],
+    )
+    def test_feeder12_sweep_equals_full_scan_and_solves_fewer_points(
+        self, monkeypatch, bus, solved
+    ):
         model = load_feeder(bundled_feeder_path())
         config = coarse_config(p_range=(0.0, 3.2, 0.2), q_range=(-2.6, 0.4, 0.2))
-        report = run_sweep(model, "8", config)
-        assert report.frontier
-        assert len(calls) == len(config.p_values()) * len(config.q_values())
+        frontier = full_scan(model, bus, config)
+        calls = count_solves(monkeypatch)
+        report = run_sweep(model, bus, config)
+        assert bits(report.frontier) == bits(frontier)
+        assert len(calls) <= solved
+
+    def test_deep_feeder_sweep_equals_full_scan_and_solves_fewer_points(self, monkeypatch):
+        # generator at the far end of a 21-branch main: its own branch holds
+        # about 1/21 of the path resistance
+        model, bus = deep_feeder(seed=1)
+        s_scale = model.v0**2 / thevenin_impedance(model, bus).magnitude()
+        # the criterion-5 window in units of V0²/|Z|, 16 x 16 points
+        config = coarse_config(
+            p_range=(0.0, 0.59 * s_scale, 0.59 * s_scale / 15),
+            q_range=(-0.48 * s_scale, 0.074 * s_scale, 0.554 * s_scale / 15),
+        )
+        frontier = full_scan(model, bus, config)
+        calls = count_solves(monkeypatch)
+        report = run_sweep(model, bus, config)
+        assert len(frontier) > 10
+        assert bits(report.frontier) == bits(frontier)
+        # 134 of 256; the bound of the generator's own branch alone left 228,
+        # and most of what is left are points over the voltage cap
+        assert len(calls) < 0.6 * len(config.p_values()) * len(config.q_values())
+
+    @pytest.mark.parametrize(
+        "z, ampacity",
+        [(Impedance(0.0, 0.0), math.inf), (Impedance(0.3, 0.4), 3.0)],
+        ids=["zero-impedance-unbounded-ampacity", "floor-below-zero"],
+    )
+    def test_no_bound_where_no_voltage_floor_is_proved(self, z, ampacity):
+        # the first branch's drop |z|·ampacity is 0·inf = NaN, or 1.5 pu
+        # against V0 = 1, so no floor bounds the loaded buses 1 and 3
+        model = FeederModel(
+            buses=("0", "1", "2", "3"),
+            branches=(
+                BranchSpec("0", "1", z, ampacity),
+                BranchSpec("1", "2", Z45, 0.9),
+                BranchSpec("1", "3", Impedance(0.05, 0.05), 1.0),
+            ),
+            loads={"1": ComplexPower(0.1, 0.02), "3": ComplexPower(0.2, 0.05)},
+            source="0",
+            v0=1.0,
+        )
+        config = coarse_config(p_range=(0.0, 1.6, 0.1), q_range=(-1.6, 0.4, 0.1))
+        scan = feederlimits.sweep._ColumnScan(model, "2", config.v_plus, config.p_plus)
+        assert [d for _, d, _ in scan.path] == [0.0, math.inf]
+        frontier = full_scan(model, "2", config)
+        assert frontier
+        assert not any(math.isnan(v) for pt in frontier for v in dataclasses.astuple(pt))
+        assert bits(run_sweep(model, "2", config).frontier) == bits(frontier)
 
     def test_feeder_load_shifts_measured_generation(self):
         load = ComplexPower(0.3, 0.1)
