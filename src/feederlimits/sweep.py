@@ -117,16 +117,19 @@ class _ColumnScan:
     """The column search of a sweep, with what it decides once for all its
     columns: the voltage cap, the ampacity test of each branch, the
     substation limit and the bounds that order and cut each column's scan.
+    :meth:`admit` gives a point's verdict, :meth:`best` the scan.
 
     Let k be the generator bus, c = ``model._cons[k]`` − (p + jq) the
-    solver's own consumption at k, and a_b a branch's ampacity plus slack.
-    The bounds hold for every state that ``solve_feeder(…, v_cap)`` returns
-    and that passes the ampacity test; any other point is discarded anyway.
-    Let x be the iterate before the returned one y, so |y_j − x_j| <
-    ``_TOL``, J_j = conj(c_j/x_j) the current drawn at bus j, and I_b the
-    sum of the J_j below branch b.  The factor e = max(1e-12, 2⁻⁴⁵·n) on the
-    n-bus feeder rounds every bound outward: it covers the rounding of the
-    solver's sums and quotients and of the bounds' own evaluation.
+    solver's own consumption at k, and a_b = ``amp[j]`` the ampacity plus
+    slack of the branch b feeding bus j; tables are indexed by BFS position,
+    as the model's are.  The bounds hold for every state that
+    ``solve_feeder(…, v_cap)`` returns and that passes the ampacity test;
+    any other point is discarded anyway.  Let x be the iterate before the
+    returned one y, so |y_j − x_j| < ``_TOL``, J_j = conj(c_j/x_j) the
+    current drawn at bus j, and I_b the sum of the J_j below branch b.  The
+    factor e = max(1e-12, 2⁻⁴⁵·n) on the n-bus feeder rounds every bound
+    outward: it covers the rounding of the solver's sums and quotients and
+    of the bounds' own evaluation.
 
     * Current at k.  Every |y_j| ≤ v_cap, so
       |J_k| ≥ i_min = |c|/(v_cap + 1e-9)·(1 − e).
@@ -163,37 +166,27 @@ class _ColumnScan:
       ascending i_min, ties in grid order.  (b) Once b + m is below the
       best p0 found, no point left can beat it, nor even tie it.
 
-    At an unknown or source bus, which the solver rejects, every point
-    keeps i_min = 0 and an infinite b + m, so the column is scanned in grid
-    order.  Without a finite cap, i_min = 0·|c| (NaN once |c| overflows)
-    and m is infinite, so no point is cut either.
+    Without a finite cap, i_min = 0·|c| (NaN once |c| overflows) and m is
+    infinite, so no point is cut.
     """
 
     def __init__(self, model: FeederModel, bus: str, v_plus: float, p_plus: float | None):
         _check_limits(v_plus, p_plus)
+        k = model._pos.get(bus)
+        if not k:
+            raise DomainError(f"injection at unknown or source bus {bus!r}")
         self.model, self.bus = model, bus
         self.p_cap = math.inf if p_plus is None else p_plus + _LIMIT_SLACK
         self.v_cap = v_cap = v_plus + _LIMIT_SLACK
-        self.ampacity = {}
-        at_bus = dict.fromkeys(model.buses, 0.0)
-        for br in model.branches:
-            a = br.ampacity + _LIMIT_SLACK
-            self.ampacity[br.from_bus, br.to_bus] = a
-            at_bus[br.from_bus] += a
-            at_bus[br.to_bus] += a
-        k = model._pos.get(bus)
-        if not k:
-            self.cons, self.i_scale, self.i_cut = 0j, 0.0, math.inf
-            self.path, self.offset = (), math.inf
-            return
         n = len(model.buses)
         e = max(1e-12, n * 2.0**-45)
-        # a_b of the branch feeding each bus, the drop Σ|z_b|·a_b down to it,
-        # and the sum of the other buses' |J_j| bounds at or below it
-        amp = [0.0, *(self.ampacity[key] for key in model._branch_keys)]
-        drop = [0.0] * n
-        below = [0.0] * n
+        self.amp = amp = [0.0, *(br.ampacity + _LIMIT_SLACK for br in model._in_branch[1:])]
+        # per bus: Σ a_b at it, the drop Σ|z_b|·a_b down to it, and the sum
+        # of the other buses' |J_j| bounds at or below it
+        at_bus, drop, below = [0.0] * n, [0.0] * n, [0.0] * n
         for j, parent, _ in model._forward:
+            at_bus[parent] += amp[j]
+            at_bus[j] += amp[j]
             drop[j] = drop[parent] + model._z_abs[j] * amp[j]
             c = abs(model._cons[j])
             if c and j != k:
@@ -202,17 +195,17 @@ class _ColumnScan:
                 below[j] = c / lo * (1.0 + e) if lo > 0.0 else math.inf
         for j, parent in model._backward:
             below[parent] += below[j]
-        # (branch, D_b, r_b) from k's own branch up to the source's
+        # (bus, D_b, r_b) of each branch from k's own up to the source's
         self.path = []
         j = k
         while j:
             r = model._in_branch[j].z.r * (1.0 - 1e-9)
-            self.path.append((model._branch_keys[j - 1], below[j], r))
+            self.path.append((j, below[j], r))
             j = model._parent[j]
-        self.i_cut = min(self.ampacity[key] + d for key, d, _ in self.path)
+        self.i_cut = min(amp[j] + d for j, d, _ in self.path)
         self.cons = model._cons[k]
         self.i_scale = (1.0 - e) / (v_cap + 1e-9)
-        drawn = sum(at_bus[b] for b, j in model._pos.items() if j == k or model._cons[j])
+        drawn = sum(a for j, a in enumerate(at_bus) if j == k or model._cons[j])
         p_loads = model.total_load().p
         # b + m = p + 1e-9·|p| + offset − L·(1 − 1e-9)
         self.offset = (
@@ -246,6 +239,20 @@ class _ColumnScan:
             top -= r * t * t
         return top
 
+    def admit(self, p: float, q: float) -> FrontierPoint | None:
+        """The point at generation p + jq as solved, or None when it fails to
+        converge or breaks the voltage cap, an ampacity or the substation limit."""
+        try:
+            # the solver rejects every state with some |V| over the cap
+            res = solve_feeder(self.model, {self.bus: ComplexPower(p, q)}, v_cap=self.v_cap)
+        except (ConvergenceError, VoltageLimitError):
+            return None
+        currents, p0 = res.branch_currents, res.s0_sub.p
+        limits = zip(self.model._branch_keys, self.amp[1:])
+        if any(currents[key] > a for key, a in limits) or p0 > self.p_cap:
+            return None
+        return FrontierPoint(p, q, p0, max(currents.values()), abs(res.voltages[self.bus]))
+
     def best(self, p: float, q_values) -> FrontierPoint | None:
         """Feasible point of the column at generation ``p`` with maximum
         transferred power, or None when no grid point is feasible.
@@ -259,21 +266,12 @@ class _ColumnScan:
         for i_min, at, q in self.column(p, q_values):
             if best is not None and self.transfer_bound(p, i_min) < best.p0_sub:
                 break
-            try:
-                # the solver rejects every state with some |V| over the cap
-                res = solve_feeder(self.model, {self.bus: ComplexPower(p, q)}, v_cap=self.v_cap)
-            except (ConvergenceError, VoltageLimitError):
+            pt = self.admit(p, q)
+            if pt is None:
                 continue
-            if any(i > self.ampacity[key] for key, i in res.branch_currents.items()):
-                continue
-            p0 = res.s0_sub.p
-            if p0 > self.p_cap:
-                continue
-            rank = (p0, -abs(q), -at)
+            rank = (pt.p0_sub, -abs(q), -at)
             if best is None or rank > best_rank:
-                max_current = max(res.branch_currents.values())
-                best = FrontierPoint(p, q, p0, max_current, abs(res.voltages[self.bus]))
-                best_rank = rank
+                best, best_rank = pt, rank
         return best
 
 

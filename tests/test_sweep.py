@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_feeder import deep_feeder, radial_feeders
 
+import feederlimits.feeder
 import feederlimits.sweep
 from feederlimits import bundled_feeder_path
 from feederlimits.errors import (
@@ -40,16 +41,22 @@ SQ2 = math.sqrt(2.0)
 Z45 = Impedance(1.0 / SQ2, 1.0 / SQ2)
 
 
-def full_scan(model, bus, config):
-    """Textbook frontier: every grid point solved, each column in grid order."""
+def full_scan(model, bus, config, capped=True):
+    """Textbook frontier: every grid point solved, each column in grid order.
+    With ``capped=False`` each point is solved without the voltage cap and
+    dropped when some |V| is over it."""
     v_cap = config.v_plus + 1e-9
     frontier = []
     for p in config.p_values():
         best = None
         for q in config.q_values():
             try:
-                res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=v_cap)
+                res = solve_feeder(
+                    model, {bus: ComplexPower(p, q)}, v_cap=v_cap if capped else math.inf
+                )
             except (ConvergenceError, VoltageLimitError):
+                continue
+            if max(map(abs, res.voltages.values())) > v_cap:
                 continue
             if any(
                 res.branch_currents[br.from_bus, br.to_bus] > br.ampacity + 1e-9
@@ -139,15 +146,17 @@ def fake_transfers(monkeypatch, p0_at):
     return calls
 
 
-def count_solves(monkeypatch):
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends its arguments to the
+    returned list."""
     calls = []
-    solve = feederlimits.sweep.solve_feeder
+    fn = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return solve(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(feederlimits.sweep, "solve_feeder", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -309,6 +318,18 @@ class TestBestReactivePoint:
         pt = best_reactive_point(model, "g", 1.5e308, [1.5e308], math.inf, None)
         assert (pt.q_gen, pt.p0_sub, pt.vg) == (1.5e308, 1.5e308, 2.0)
 
+    @pytest.mark.parametrize("q_values", [[0.0], []], ids=["one-point", "no-point"])
+    @pytest.mark.parametrize("bus", ["1", "zz"], ids=["source", "unknown"])
+    def test_bad_bus_raises_the_solvers_error_before_any_solve(self, monkeypatch, bus, q_values):
+        model = load_feeder(bundled_feeder_path())
+        with pytest.raises(DomainError) as solver:
+            solve_feeder(model, {bus: ComplexPower(0.5, 0.0)})
+        calls = count_calls(monkeypatch, feederlimits.sweep, "solve_feeder")
+        with pytest.raises(DomainError) as scan:
+            best_reactive_point(model, bus, 0.5, q_values, 1.06, None)
+        assert str(scan.value) == str(solver.value)
+        assert calls == []
+
     def test_stored_point_reproducible(self):
         model = single_branch_model(Z45, v0=1.0)
         q_values = [round(-1.0 + 0.05 * k, 10) for k in range(29)]
@@ -416,20 +437,32 @@ class TestRunSweep:
         scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus, config.p_plus)
         for p in config.p_values():
             for q in config.q_values():
+                admitted = scan.admit(p, q)
                 try:
                     res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=scan.v_cap)
                 except (ConvergenceError, VoltageLimitError):
+                    assert admitted is None
                     continue
-                feasible = all(i <= scan.ampacity[key] for key, i in res.branch_currents.items())
+                # the current of the branch feeding each bus, in BFS order
+                current = [0.0, *(res.branch_currents[key] for key in model._branch_keys)]
+                feasible = all(i <= a for i, a in zip(current, scan.amp))
+                p0 = res.s0_sub.p
+                if feasible and p0 <= scan.p_cap:
+                    vg = abs(res.voltages[bus])
+                    expected = FrontierPoint(p, q, p0, max(res.branch_currents.values()), vg)
+                    assert admitted is not None
+                    assert bits([admitted]) == bits([expected])
+                else:
+                    assert admitted is None
                 kept = scan.column(p, [q])
                 if not kept:
                     assert not feasible
                     continue
                 if feasible:
                     i_min = kept[0][0]
-                    for key, d, _ in scan.path:
-                        assert res.branch_currents[key] >= i_min - d
-                    assert res.s0_sub.p <= scan.transfer_bound(p, i_min)
+                    for j, d, _ in scan.path:
+                        assert current[j] >= i_min - d
+                    assert p0 <= scan.transfer_bound(p, i_min)
 
     @settings(max_examples=60, deadline=None)
     @given(bus_sweeps())
@@ -442,7 +475,7 @@ class TestRunSweep:
         assert_columns_agree(model, "8", config)
 
     def test_leaf_sweep_solves_few_points(self, monkeypatch):
-        calls = count_solves(monkeypatch)
+        calls = count_calls(monkeypatch, feederlimits.sweep, "solve_feeder")
         model = single_branch_model(Z45, v0=1.0, ampacity=0.9)
         config = coarse_config(p_range=(0.0, 4.0, 0.1), q_range=(-4.0, 4.0, 0.1))
         report = run_sweep(model, "g", config)
@@ -451,6 +484,22 @@ class TestRunSweep:
         # the ampacity rule alone leaves 156 of these 3,321 points, 4.7 %;
         # the transfer bound cuts that to 62
         assert len(calls) < 0.03 * points
+
+    def test_voltage_cap_proof_is_tried_rarely(self, monkeypatch):
+        # with no ampacity every point is solved; the solver tries its cap
+        # proof only when the iterate's contraction rate promises one, and
+        # after a failed try only once the voltage change has halved:
+        # 3,752 tries here, against 26,743 with no such gate
+        model = single_branch_model(Z45, v0=1.0)
+        config = coarse_config(p_range=(0.0, 4.0, 0.1), q_range=(-4.0, 4.0, 0.1))
+        # a state the capped solver returns ran the same arithmetic as an
+        # uncapped solve, so an uncapped scan that drops every state over the
+        # cap finds the same frontier without trying a single proof
+        expected = full_scan(model, "g", config, capped=False)
+        proofs = count_calls(monkeypatch, feederlimits.feeder, "_voltage_floor")
+        report = run_sweep(model, "g", config)
+        assert bits(report.frontier) == bits(expected)
+        assert len(proofs) <= 4_000
 
     @pytest.mark.parametrize(
         "bus, solved",
@@ -464,7 +513,7 @@ class TestRunSweep:
         model = load_feeder(bundled_feeder_path())
         config = coarse_config(p_range=(0.0, 3.2, 0.2), q_range=(-2.6, 0.4, 0.2))
         frontier = full_scan(model, bus, config)
-        calls = count_solves(monkeypatch)
+        calls = count_calls(monkeypatch, feederlimits.sweep, "solve_feeder")
         report = run_sweep(model, bus, config)
         assert bits(report.frontier) == bits(frontier)
         assert len(calls) <= solved
@@ -480,7 +529,7 @@ class TestRunSweep:
             q_range=(-0.48 * s_scale, 0.074 * s_scale, 0.554 * s_scale / 15),
         )
         frontier = full_scan(model, bus, config)
-        calls = count_solves(monkeypatch)
+        calls = count_calls(monkeypatch, feederlimits.sweep, "solve_feeder")
         report = run_sweep(model, bus, config)
         assert len(frontier) > 10
         assert bits(report.frontier) == bits(frontier)
@@ -509,7 +558,8 @@ class TestRunSweep:
         )
         config = coarse_config(p_range=(0.0, 1.6, 0.1), q_range=(-1.6, 0.4, 0.1))
         scan = feederlimits.sweep._ColumnScan(model, "2", config.v_plus, config.p_plus)
-        assert [d for _, d, _ in scan.path] == [0.0, math.inf]
+        # bus 2's own branch, then bus 1's, by BFS index
+        assert [(j, d) for j, d, _ in scan.path] == [(2, 0.0), (1, math.inf)]
         frontier = full_scan(model, "2", config)
         assert frontier
         assert not any(math.isnan(v) for pt in frontier for v in dataclasses.astuple(pt))
