@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .errors import DomainError, FeederFileError, FeederLimitsError
@@ -180,8 +181,8 @@ def cmd_curves(args, parser) -> Outputs:
 
 
 def _frontier_path(out: str) -> str:
-    stem, dot, _ = out.rpartition(".")
-    return (stem if dot else out) + ".frontier.csv"
+    # the suffix of the file name only: a dot in a directory is no suffix
+    return os.path.splitext(out)[0] + ".frontier.csv"
 
 
 def cmd_sweep(args, parser) -> Outputs:

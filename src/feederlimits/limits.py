@@ -232,17 +232,16 @@ def thermal_rotated_roots(case: TwoBusCase) -> tuple[float, float]:
 
 
 def _root_argument_text(outer: float, inner: float) -> str:
-    """0.25·outer·inner in ``.3e`` form, read from the factors' binary
-    exponents where the V⁴ product underflows to 0."""
+    """0.25·outer·inner in ``.3e`` form, in 40-digit decimal arithmetic
+    where the V⁴ product underflows to 0."""
     arg = 0.25 * outer * inner
     if arg != 0.0 or outer == 0.0 or inner == 0.0:
         return f"{arg:.3e}"
-    (m_outer, e_outer), (m_inner, e_inner) = math.frexp(outer), math.frexp(inner)
-    # 2^(e_outer + e_inner) = 10^d = 10^(d − k)·10^k, with 1 ≤ 10^(d − k) < 10
-    d = (e_outer + e_inner) * math.log10(2.0)
-    k = math.floor(d)
-    mantissa, exponent = f"{0.25 * m_outer * m_inner * 10.0 ** (d - k):.3e}".split("e")
-    return f"{mantissa}e{int(exponent) + k:+03d}"
+    # imported here, so that only this rare branch pays for it
+    import decimal
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        return f"{decimal.Decimal(outer) * decimal.Decimal(inner) / 4:.3e}"
 
 
 def thermal_limit(case: TwoBusCase) -> OperatingPoint:

@@ -416,6 +416,31 @@ class TestSweepCommand:
         assert summary["errors"]["eps_pg_thermal"] is None
         assert summary["predicted_marginal"]["vg"] == pytest.approx(1.06)
 
+    @pytest.mark.parametrize(
+        "out, frontier",
+        [
+            ("sweep.json", "sweep.frontier.csv"),
+            # a dot in a directory name is no suffix of the file name
+            ("res.d/summary", "res.d/summary.frontier.csv"),
+            ("./summary", "summary.frontier.csv"),
+        ],
+    )
+    def test_frontier_file_sits_beside_the_summary(self, tmp_path, monkeypatch, out, frontier):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "res.d").mkdir()
+        code = main(
+            [
+                "sweep",
+                "--v0", "1", "--r", "0.5", "--x", "0.5", "--i-plus", "0.9",
+                "--p-max", "0.4", "--p-step", "0.1",
+                "--q-min", "-0.4", "--q-max", "0", "--q-step", "0.1",
+                "--out", out,
+            ]
+        )
+        assert code == 0
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == sorted([os.path.normpath(out), frontier])
+
     def test_sweep_requires_output_path(self):
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--v0", "1", "--r", "0.5", "--x", "0.5"])

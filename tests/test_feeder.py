@@ -162,6 +162,27 @@ def outcome(solver, model, injections):
     )
 
 
+def consumption(model, injections):
+    """Load minus generation per bus, in BFS order, as the solver adds it up."""
+    cons = list(model._cons)
+    for bus, s in injections.items():
+        cons[model._pos[bus]] -= s.as_complex()
+    return cons
+
+
+def sweep(model, cons, volt):
+    """One backward/forward sweep: the next iterate and its largest |V| off
+    the source."""
+    flow = [0j] * len(volt)
+    for k, p in model._backward:
+        flow[k] += (cons[k] / volt[k]).conjugate()
+        flow[p] += flow[k]
+    new = list(volt)
+    for k, p, z in model._forward:
+        new[k] = new[p] - z * flow[k]
+    return new, max(abs(v) for v in new[1:])
+
+
 @st.composite
 def radial_feeders(draw):
     """Random radial tree of 2-12 buses in shuffled bus and branch order,
@@ -609,36 +630,53 @@ class TestSolveFeeder:
             solve_feeder(model, {"g": ComplexPower(0.9, 0.0)}, v_cap=v_cap)
 
     @settings(max_examples=300, deadline=None)
-    @given(radial_feeders(), st.integers(1, 40), st.floats(0.0, 0.3))
-    def test_voltage_floor_holds_for_every_later_sweep(self, feeder, start, cut):
+    @given(radial_feeders(), st.integers(1, 40), st.floats(0.0, 0.3), st.booleans())
+    def test_voltage_floor_holds_for_every_later_sweep(self, feeder, start, cut, gate):
         # the bound on its own, at any sweep and without the solver's gate:
-        # a floor it proves must hold for every sweep after it
+        # a floor it proves must hold for every sweep after it.  The radius
+        # is the solver's, from the last two changes (ρ = 0 after one), or a
+        # share of max |V|
         model, injections = feeder
-        cons = list(model._cons)
-        for bus, s in injections.items():
-            cons[model._pos[bus]] -= s.as_complex()
-
-        def sweep(volt):
-            flow = [0j] * len(volt)
-            for k, p in model._backward:
-                flow[k] += (cons[k] / volt[k]).conjugate()
-                flow[p] += flow[k]
-            new = list(volt)
-            for k, p, z in model._forward:
-                new[k] = new[p] - z * flow[k]
-            return new, max(abs(v) for v in new[1:])
-
+        cons = consumption(model, injections)
         y = [complex(model.v0, 0.0)] * len(cons)
+        changes = []
         for _ in range(start):
-            x, (y, v_max) = y, sweep(y)
+            x, (y, v_max) = y, sweep(model, cons, y)
             # the solver would have stopped here
             assume(all(_V_COLLAPSE <= abs(v) <= _V_BLOWUP for v in y))
-        delta = max(abs(a - b) for a, b in zip(x[1:], y[1:]))
-        floor = _voltage_floor(model, cons, y, delta, v_max, v_max * (1.0 - cut))
+            changes.append(max(abs(a - b) for a, b in zip(x[1:], y[1:])))
+        delta = changes[-1]
+        if gate:
+            prev = changes[-2] if len(changes) > 1 else math.inf
+            assume(delta < prev)
+            rho = delta / prev
+            r = 0.7 * delta + 2.0 * rho * delta / (1.0 - rho)
+        else:
+            r = cut * v_max
+        floor = _voltage_floor(model, cons, y, delta, v_max, r)
         if floor is not None:
             for _ in range(200):
-                y, v_max = sweep(y)
+                y, v_max = sweep(model, cons, y)
                 assert v_max >= floor
+
+    def test_voltage_floor_from_the_solvers_radius_holds(self):
+        # |Vg| settles at 1.3534 after 20 sweeps; at sweep 4 the bound
+        # already proves that no later sweep drops below 1.3261
+        model = single_branch_model(Z45, v0=1.0)
+        cons = consumption(model, {"g": ComplexPower(0.5, 0.2)})
+        y = [1 + 0j, 1 + 0j]
+        changes = []
+        for _ in range(4):
+            x, (y, v_max) = y, sweep(model, cons, y)
+            changes.append(abs(y[1] - x[1]))
+        delta, rho = changes[-1], changes[-1] / changes[-2]
+        r = 0.7 * delta + 2.0 * rho * delta / (1.0 - rho)
+        floor = _voltage_floor(model, cons, y, delta, v_max, r)
+        assert floor == v_max - r
+        assert floor == pytest.approx(1.326106275, abs=1e-9)
+        for _ in range(200):
+            y, v_max = sweep(model, cons, y)
+            assert v_max >= floor
 
     @settings(max_examples=300, deadline=None)
     @given(radial_feeders(), st.floats(0.9, 1.4))

@@ -23,6 +23,7 @@ from feederlimits.limits import (
     marginal_limit,
     marginal_transfer,
     metrics,
+    _root_argument_text,
     thermal_limit,
     thermal_rotated_roots,
     upf_limit_generation,
@@ -321,6 +322,19 @@ class TestExtremeMagnitudes:
                 assert abs(power - math.ldexp(unit_power, 2 * m)) <= tol
             for value, unit_value in ((point.current, one.current), (point.vg, one.vg)):
                 assert value == pytest.approx(math.ldexp(unit_value, m), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "outer, inner, text",
+        [
+            (-5e-324, 5e-324, "-6.103e-648"),
+            (-1.5e-200, 3.25e-160, "-1.219e-360"),
+            # a quarter of 2^-1074 already rounds to 0
+            (2.0**-1074, -(2.0 - 2.0**-52), "-2.470e-324"),
+        ],
+    )
+    def test_underflowing_root_argument_text_is_the_decimal_product(self, outer, inner, text):
+        assert 0.25 * outer * inner == 0.0
+        assert _root_argument_text(outer, inner) == text
 
     def test_operating_point_beyond_float_range_is_refused(self):
         with pytest.raises(DomainError, match="leaves the float range"):
