@@ -203,7 +203,8 @@ def solve_feeder(
     every later |V_k| ≥ |y_k| − r.  The proof is tried only when
     max_k |y_k| − r > v_cap + 0.3δ, so a proof rejects.  A state it returns
     ran the same arithmetic as an uncapped call.  A cap ≤ 0 or NaN raises
-    :class:`DomainError`.
+    :class:`DomainError`, and so does a converged state whose branch
+    current magnitude overflows.
     """
     # written so that NaN fails the check
     if not v_cap > 0.0:
@@ -290,11 +291,17 @@ def solve_feeder(
             iterations,
         )
 
+    try:
+        currents = {key: abs(flow[k]) for k, key in enumerate(model._branch_keys, 1)}
+    except OverflowError as exc:  # abs() of a finite current can leave the float range
+        raise DomainError(
+            f"branch current magnitude overflows after {iterations} iterations"
+        ) from exc
     # the backward sweep sums the currents leaving the source into flow[0]
     s0 = v0 * (-flow[0]).conjugate()
     return PowerFlowResult(
         voltages={bus: volt[k] for bus, k in model._pos.items()},
-        branch_currents={key: abs(flow[k]) for k, key in enumerate(model._branch_keys, 1)},
+        branch_currents=currents,
         s0_sub=ComplexPower(s0.real, s0.imag),
         iterations=iterations,
     )

@@ -5,10 +5,10 @@ circuit-law upper bound on the transfer they could reach; points violating
 a voltage, ampacity or substation limit (or failing to converge) are
 discarded, and the reactive power maximising the transferred real power is
 kept.  A column's scan stops once no point left can beat the best one found,
-and a point the bounds prove over its ampacity is never solved, so the kept
-points are those of a full scan, bit for bit.  The resulting frontier yields
-measured marginal and thermal limits that the closed-form predictions are
-scored against.
+and a point the bounds prove over its ampacity or over the voltage cap is
+never solved, so the kept points are those of a full scan, bit for bit.
+The resulting frontier yields measured marginal and thermal limits that the
+closed-form predictions are scored against.
 """
 
 from __future__ import annotations
@@ -165,9 +165,34 @@ class _ColumnScan:
     * Scan.  b + m falls as i_min grows, so a column is scanned by
       ascending i_min, ties in grid order.  (b) Once b + m is below the
       best p0 found, no point left can beat it, nor even tie it.
+    * Voltage rise (DistFlow; Baran & Wu, IEEE Trans. Power Del. 1989).
+      For the branch b feeding j from i, exactly
+      |y_j|² = |y_i|² − 2·Re(z̄_b·y_i·conj I_b) + |z_b|²·|I_b|², and
+      y_i·conj I_b = C_j + Σ_{b′ at or below b} z_b′·|I_b′|²
+      + Σ_{m below b} conj(J_m)·(y_m − x_m), where
+      C_j = Σ_{m at or below j} c_m = L_j − (p + jq) on the path, L_j being
+      the load at or below j.  With Ī_b′ ≥ |I_b′|, the sum over the path
+      gives |y_k|² ≥ N − Loss, where
+      N = V0² + 2·(p·R + q·X) − 2·Σ_{b on path} Re(z̄_b·L_b)
+      − 2·Z_p·``_TOL``·A, with R, X and Z_p the path sums of r, x and |z|,
+      and Loss = 2·Σ_{b on path} |z_b|·Σ_{b′ at or below b} |z_b′|·Ī_b′².
+      Off the path Ī = min(a, D).  On it, Ī = a gives a constant Λ_a, and
+      Ī = i + D with i = |c|(1 + e)/(v − ``_TOL``) ≥ |J_k|, v = |y_k|,
+      gives a quadratic in i, so φ(v) = v² + Loss is convex in v.  Every
+      such state thus has φ(v) ≥ N with v in [F_k, v_cap], and
+      v² + Λ_a ≥ N.  Below v1 = √(N − Λ_a), v² + Λ_a < N.  (c) A point
+      with N > v_cap² is not solved when [max(F_k, v1), v_cap] is empty,
+      or when φ < N at both of its ends.  The solver's arithmetic keeps
+      voltages within v_cap and currents within A, so it moves |y_k|² by
+      less than e·(v_cap + Z·A)·(v_cap + 2·Z_p·A)/8, Z being the sum of
+      all |z_b|; N subtracts that margin without the 1/8, and
+      2e·(|p| + |q|)·Z_p + 2e·Σ|z_b|·|L_b| for its own rounding, and the
+      factors 1 ± e round v1, Λ_a and φ outward.  An infinite ampacity in
+      A or on the path makes N or Λ_a infinite, which turns rule (c) off,
+      and so does an infinite cap.
 
-    Without a finite cap, i_min = 0·|c| (NaN once |c| overflows) and m is
-    infinite, so no point is cut.
+    Without a finite cap, i_min = 0·|c| (NaN once |c| overflows), m is
+    infinite and N is not finite, so no point is cut.
     """
 
     def __init__(self, model: FeederModel, bus: str, v_plus: float, p_plus: float | None):
@@ -193,8 +218,11 @@ class _ColumnScan:
                 lo = model.v0 * (1.0 - e) - drop[j] * (1.0 + e) - _TOL
                 # written so that NaN gives no bound
                 below[j] = c / lo * (1.0 + e) if lo > 0.0 else math.inf
+        # the load at or below each bus
+        sub_load = list(model._cons)
         for j, parent in model._backward:
             below[parent] += below[j]
+            sub_load[parent] += sub_load[j]
         # (bus, D_b, r_b) of each branch from k's own up to the source's
         self.path = []
         j = k
@@ -210,6 +238,45 @@ class _ColumnScan:
         # b + m = p + 1e-9·|p| + offset − L·(1 − 1e-9)
         self.offset = (
             drawn * (_TOL + 1e-14 * n * n * v_cap) + 1e-9 * (1.0 + abs(p_loads)) - p_loads
+        )
+        # rule (c): Σ|z_b| over the path branches at or above each bus
+        on_path = {j for j, _, _ in self.path}
+        z_abs, path_z = model._z_abs, [0.0] * n
+        for j, parent, _ in model._forward:
+            path_z[j] = path_z[parent] + (z_abs[j] if j in on_path else 0.0)
+        r_sum = x_sum = s_load = s_abs = 0.0
+        for j, _, _ in self.path:
+            z = model._in_branch[j].z
+            r_sum += z.r
+            x_sum += z.x
+            s_load += z.r * sub_load[j].real + z.x * sub_load[j].imag
+            s_abs += z_abs[j] * abs(sub_load[j])
+        # Loss/2 = Σ_b w_b·Ī_b² with w_b = |z_b|·path_z: lam_a with Ī_b = a_b
+        # on the path, q0 + q1·i + q2·i² with Ī_b = i + D_b there
+        lam_a = q0 = q1 = q2 = 0.0
+        for j in range(1, n):
+            w = z_abs[j] * path_z[j]
+            if not w:  # keeps 0·inf out
+                continue
+            if j in on_path:
+                d = below[j]
+                lam_a += w * (amp[j] * amp[j])
+                q0 += w * (d * d)
+                q1 += 2.0 * w * d
+                q2 += w
+            else:
+                i_bar = min(amp[j], below[j])
+                lam_a += w * (i_bar * i_bar)
+                q0 += w * (i_bar * i_bar)
+        z_p = path_z[k]
+        rounding = e * (v_cap + sum(z_abs) * drawn) * (v_cap + 2.0 * z_p * drawn)
+        n0 = model.v0 * model.v0 * (1.0 - e) - 2.0 * (s_load + e * s_abs + z_p * _TOL * drawn)
+        # N(p, q) = n0 − rounding + 2·(p·R + q·X) − 2e·(|p| + |q|)·Z_p; then
+        # Λ_a, the quadratic's coefficients, F_k and e
+        self.rise = (
+            n0 - rounding, 2.0 * r_sum, 2.0 * x_sum, 2.0 * e * z_p,
+            2.0 * lam_a * (1.0 + e), 2.0 * q0, 2.0 * q1, 2.0 * q2,
+            model.v0 * (1.0 - e) - drop[k] * (1.0 + e), e,
         )
 
     def column(self, p: float, q_values) -> list[tuple[float, int, float]]:
@@ -239,9 +306,40 @@ class _ColumnScan:
             top -= r * t * t
         return top
 
+    def over_cap(self, p: float, q: float) -> bool:
+        """Rule (c) of the class docstring: True when every state the capped
+        solver could return at p + jq, and that passes the ampacity test,
+        has |y_k| > v_cap."""
+        n0, r2, x2, m2, lam_a, q0, q1, q2, floor, e = self.rise
+        big_n = n0 + (p * r2 + q * x2) - (abs(p) + abs(q)) * m2
+        v_cap = self.v_cap
+        # φ(v_cap) ≥ v_cap², so no cut unless N exceeds it; an overflow to
+        # +inf would round N up, and NaN keeps the point too
+        if not v_cap * v_cap < big_n < math.inf:
+            return False
+        # v² + Λ_a < N for v below v1, so only [max(F_k, v1), v_cap] is left
+        gap = big_n - lam_a
+        lo = math.sqrt(gap) * (1.0 - e) if gap > 0.0 else 0.0
+        if floor > lo:
+            lo = floor
+        if lo >= v_cap:
+            return True
+        if not lo > _TOL:
+            return False
+        # φ is convex, so it stays below N on [lo, v_cap] if it does at both ends
+        c = math.hypot(self.cons.real - p, self.cons.imag - q) * (1.0 + e)
+        for v in (lo, v_cap):
+            i = c / (v - _TOL)
+            if not (v * v + q0 + i * (q1 + i * q2)) * (1.0 + e) < big_n:
+                return False
+        return True
+
     def admit(self, p: float, q: float) -> FrontierPoint | None:
-        """The point at generation p + jq as solved, or None when it fails to
-        converge or breaks the voltage cap, an ampacity or the substation limit."""
+        """The point at generation p + jq as solved, or None when rule (c)
+        proves it over the voltage cap, or it fails to converge or breaks the
+        voltage cap, an ampacity or the substation limit."""
+        if self.over_cap(p, q):
+            return None
         try:
             # the solver rejects every state with some |V| over the cap
             res = solve_feeder(self.model, {self.bus: ComplexPower(p, q)}, v_cap=self.v_cap)

@@ -629,6 +629,13 @@ class TestSolveFeeder:
         with pytest.raises(DomainError, match="voltage cap must be positive"):
             solve_feeder(model, {"g": ComplexPower(0.9, 0.0)}, v_cap=v_cap)
 
+    def test_overflowing_branch_current_is_a_domain_error(self):
+        # a zero impedance converges at once, but |I| of 1.5e308·(1 − j)
+        # leaves the float range; abs() raised a bare OverflowError
+        model = single_branch_model(Impedance(0.0, 0.0), v0=1.0)
+        with pytest.raises(DomainError, match="branch current magnitude overflows after 1 "):
+            solve_feeder(model, {"g": ComplexPower(1.5e308, 1.5e308)}, v_cap=1e300)
+
     @settings(max_examples=300, deadline=None)
     @given(radial_feeders(), st.integers(1, 40), st.floats(0.0, 0.3), st.booleans())
     def test_voltage_floor_holds_for_every_later_sweep(self, feeder, start, cut, gate):

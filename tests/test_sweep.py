@@ -15,6 +15,7 @@ from feederlimits.errors import (
     ConvergenceError,
     DomainError,
     NoFeasiblePointError,
+    NoSolutionError,
     VoltageLimitError,
 )
 from feederlimits.feeder import (
@@ -35,7 +36,8 @@ from feederlimits.sweep import (
     locus_estimate,
     run_sweep,
 )
-from feederlimits.twobus import ComplexPower, Impedance
+from feederlimits.twobus import Branch, ComplexPower, Impedance, rotate
+from feederlimits.twobus import solve as solve_two_bus
 
 SQ2 = math.sqrt(2.0)
 Z45 = Impedance(1.0 / SQ2, 1.0 / SQ2)
@@ -119,6 +121,24 @@ def assert_columns_agree(model, bus, config):
     assert bits(run_sweep(model, bus, config).frontier) == bits(expected)
 
 
+def assert_cut_points_break_a_limit(model, bus, config):
+    """At every point that rule (c) cuts, an uncapped solve fails, or ends
+    with some |V| over the cap or some current over its ampacity."""
+    scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus, config.p_plus)
+    for p in config.p_values():
+        for q in config.q_values():
+            if not scan.over_cap(p, q):
+                continue
+            try:
+                res = solve_feeder(model, {bus: ComplexPower(p, q)})
+            except ConvergenceError:
+                continue
+            current = [0.0, *(res.branch_currents[key] for key in model._branch_keys)]
+            assert max(map(abs, res.voltages.values())) > scan.v_cap or any(
+                i > a for i, a in zip(current, scan.amp)
+            )
+
+
 def reactive_load_model(load_q):
     """One branch with a reactive load at the generator bus, so that the scan
     tries the reactive powers q in order of |q − load_q|, not in grid order."""
@@ -172,6 +192,17 @@ def coarse_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def criterion5_window(model, bus, points, **overrides):
+    """The criterion-5 window in units of V0²/|Z| for ``bus``, ``points``
+    values a side."""
+    s_scale = model.v0**2 / thevenin_impedance(model, bus).magnitude()
+    return coarse_config(
+        p_range=(0.0, 0.59 * s_scale, 0.59 * s_scale / (points - 1)),
+        q_range=(-0.48 * s_scale, 0.074 * s_scale, 0.554 * s_scale / (points - 1)),
+        **overrides,
+    )
 
 
 class TestSweepConfig:
@@ -321,6 +352,19 @@ class TestBestReactivePoint:
         pt = best_reactive_point(model, "g", 1.5e308, [1.5e308], math.inf, None)
         assert (pt.q_gen, pt.p0_sub, pt.vg) == (1.5e308, 1.5e308, 2.0)
 
+    def test_overflowing_branch_current_is_a_domain_error(self):
+        # the point converges, so neither rule (c) nor the solver's cap
+        # rejects it; its current's magnitude overflows
+        model = FeederModel(
+            buses=("0", "g"),
+            branches=(BranchSpec("0", "g", Impedance(0.0, 0.0), math.inf),),
+            loads={},
+            source="0",
+            v0=1.0,
+        )
+        with pytest.raises(DomainError, match="branch current magnitude overflows"):
+            best_reactive_point(model, "g", 1.5e308, [1.5e308], 1e300, None)
+
     @pytest.mark.parametrize("q_values", [[0.0], []], ids=["one-point", "no-point"])
     @pytest.mark.parametrize("bus", ["1", "zz"], ids=["source", "unknown"])
     def test_bad_bus_raises_the_solvers_error_before_any_solve(self, monkeypatch, bus, q_values):
@@ -469,6 +513,87 @@ class TestRunSweep:
 
     @settings(max_examples=60, deadline=None)
     @given(bus_sweeps())
+    def test_voltage_rise_cut_is_sound(self, sweep):
+        assert_cut_points_break_a_limit(*sweep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.floats(0.0, 1.0),
+        st.floats(0.01, 1.0),
+        st.floats(0.9, 1.1),
+        st.floats(0.3, 3.0),
+        st.floats(0.95, 1.2),
+    )
+    def test_voltage_rise_cut_leaves_no_root_of_a_chain(self, n, r, x, v0, ampacity, v_plus):
+        # the bound holds for every power flow within the ampacities, not
+        # only for the high-voltage root that the solver finds.  An unloaded
+        # chain of n equal branches is the two-bus case of their sum, so at
+        # a cut point neither root of its quadratic is within the cap and
+        # the ampacity (up to 1e-9, for the closed form's rounding)
+        model = FeederModel(
+            buses=tuple(str(j) for j in range(n + 1)),
+            branches=tuple(
+                BranchSpec(str(j), str(j + 1), Impedance(r / n, x / n), ampacity)
+                for j in range(n)
+            ),
+            loads={},
+            source="0",
+            v0=v0,
+        )
+        z = thevenin_impedance(model, str(n))
+        scan = feederlimits.sweep._ColumnScan(model, str(n), v_plus, None)
+        config = coarse_config(p_range=(-0.5, 2.0, 0.1), q_range=(-2.0, 1.0, 0.1))
+        for p in config.p_values():
+            for q in config.q_values():
+                if not scan.over_cap(p, q):
+                    continue
+                s_t = rotate(ComplexPower(p, q), z)
+                for branch in Branch:
+                    try:
+                        vg = math.sqrt(max(solve_two_bus(s_t, v0, branch).vg_sq, 0.0))
+                    except NoSolutionError:
+                        continue
+                    slack = 1.0 - 1e-9
+                    assert not (
+                        max(v0, vg) <= scan.v_cap * slack
+                        and math.hypot(p, q) <= scan.amp[1] * vg * slack
+                    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(2, 34), st.floats(1.0, 1.12))
+    def test_voltage_rise_cut_is_sound_on_deep_feeders(self, seed, bus, v_plus):
+        model, _ = deep_feeder(seed)
+        config = criterion5_window(model, str(bus), 12, v_plus=v_plus)
+        assert_cut_points_break_a_limit(model, str(bus), config)
+
+    def test_voltage_rise_cut_needs_a_finite_cap(self):
+        # with v_cap = inf the rule cuts nothing, even where |c| overflows
+        model = load_feeder(bundled_feeder_path())
+        scan = feederlimits.sweep._ColumnScan(model, "12", math.inf, None)
+        points = [(p, q) for p in (0.0, 3.0, 1e300) for q in (-1e300, -2.0, 0.0, 1e300)]
+        assert not any(scan.over_cap(p, q) for p, q in points)
+
+    @pytest.mark.parametrize(
+        "grid, solved",
+        # solves without rule (c): 22,907, 137 and 134
+        [("criterion-5", 1_500), ("feeder12-coarse", 21), ("deep-feeder", 16)],
+    )
+    def test_voltage_rise_cut_skips_most_points_over_the_cap(self, monkeypatch, grid, solved):
+        model, bus = load_feeder(bundled_feeder_path()), "12"
+        if grid == "criterion-5":
+            config = coarse_config(p_range=(0.0, 3.2, 0.02), q_range=(-2.6, 0.4, 0.01))
+        elif grid == "feeder12-coarse":
+            config = coarse_config(p_range=(0.0, 3.2, 0.2), q_range=(-2.6, 0.4, 0.2))
+        else:
+            model, bus = deep_feeder(seed=1)
+            config = criterion5_window(model, bus, 16)
+        calls = count_calls(monkeypatch, feederlimits.sweep, "solve_feeder")
+        run_sweep(model, bus, config)
+        assert len(calls) <= solved
+
+    @settings(max_examples=60, deadline=None)
+    @given(bus_sweeps())
     def test_columns_equal_best_reactive_point(self, sweep):
         assert_columns_agree(*sweep)
 
@@ -505,14 +630,36 @@ class TestRunSweep:
         assert len(proofs) <= 4_000
 
     def test_voltage_cap_proof_holds_where_the_cap_rejects_most_points(self, monkeypatch):
-        # on the criterion-5 window most solved points lie over the voltage
-        # cap; each of them is rejected by one proof try, which never fails
+        # on the criterion-5 window most points lie over the voltage cap;
+        # rule (c) skips all but 26 of them (908 were solved without it),
+        # and each of those is rejected by one proof try, which never fails
         model = load_feeder(bundled_feeder_path())
         config = coarse_config(p_range=(0.0, 3.2, 0.1), q_range=(-2.6, 0.4, 0.05))
         floors = []
         proofs = count_calls(monkeypatch, feederlimits.feeder, "_voltage_floor", floors)
         run_sweep(model, "12", config)
-        assert len(proofs) == 908
+        assert len(proofs) == 26
+        assert None not in floors
+
+    def test_voltage_cap_proof_holds_at_every_point_of_the_window(self, monkeypatch):
+        # the solver alone, without the sweep's bounds, on the same window:
+        # each of the 943 points over the cap of its 2,013 is rejected by
+        # one proof try, which never fails
+        model = load_feeder(bundled_feeder_path())
+        config = coarse_config(p_range=(0.0, 3.2, 0.1), q_range=(-2.6, 0.4, 0.05))
+        floors = []
+        proofs = count_calls(monkeypatch, feederlimits.feeder, "_voltage_floor", floors)
+        rejected = points = 0
+        for p in config.p_values():
+            for q in config.q_values():
+                points += 1
+                try:
+                    solve_feeder(model, {"12": ComplexPower(p, q)}, v_cap=1.06 + 1e-9)
+                except VoltageLimitError:
+                    rejected += 1
+                except ConvergenceError:
+                    pass
+        assert (points, rejected, len(proofs)) == (2_013, 943, 943)
         assert None not in floors
 
     @pytest.mark.parametrize(
@@ -536,19 +683,14 @@ class TestRunSweep:
         # generator at the far end of a 21-branch main: its own branch holds
         # about 1/21 of the path resistance
         model, bus = deep_feeder(seed=1)
-        s_scale = model.v0**2 / thevenin_impedance(model, bus).magnitude()
-        # the criterion-5 window in units of V0²/|Z|, 16 x 16 points
-        config = coarse_config(
-            p_range=(0.0, 0.59 * s_scale, 0.59 * s_scale / 15),
-            q_range=(-0.48 * s_scale, 0.074 * s_scale, 0.554 * s_scale / 15),
-        )
+        config = criterion5_window(model, bus, 16)
         frontier = full_scan(model, bus, config)
         calls = count_calls(monkeypatch, feederlimits.sweep, "solve_feeder")
         report = run_sweep(model, bus, config)
         assert len(frontier) > 10
         assert bits(report.frontier) == bits(frontier)
-        # 134 of 256; the bound of the generator's own branch alone left 228,
-        # and most of what is left are points over the voltage cap
+        # 16 of 256; the losses of the whole path alone left 134, most of
+        # them over the voltage cap, and the generator's own branch 228
         assert len(calls) < 0.6 * len(config.p_values()) * len(config.q_values())
 
     @pytest.mark.parametrize(
