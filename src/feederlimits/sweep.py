@@ -13,6 +13,7 @@ closed-form predictions are scored against.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -131,8 +132,8 @@ class _ColumnScan:
     outward: it covers the rounding of the solver's sums and quotients and
     of the bounds' own evaluation.
 
-    * Current at k.  Every |y_j| ≤ v_cap, so
-      |J_k| ≥ i_min = |c|/(v_cap + 1e-9)·(1 − e).
+    * Current at k.  Every |y_j| ≤ v_cap, and |y_k|² ≤ N_up (voltage rise,
+      below), so |J_k| ≥ i_min = |c|·(1 − e)/(min(v_cap, √N_up) + 1e-9).
     * Voltage floor.  The forward sweep gives y_j = y_parent − z_b·I_b, and
       the ampacity test keeps |I_b| ≤ a_b, so
       |y_j| ≥ F_j = V0·(1 − e) − Σ_{b on path(j)} |z_b|·a_b·(1 + e), and
@@ -145,7 +146,13 @@ class _ColumnScan:
       I_b = J_k + Σ_{j ≠ k below b} J_j, so |I_b| ≥ i_min − D_b.  This
       holds at a leaf, where D_b of k's own branch is 0, and at a junction
       alike.  (a) A point with i_min > a_b + D_b on some path branch fails
-      the ampacity test, so it is not solved.
+      the ampacity test, so it is not solved.  Let i_cut be the least
+      a_b + D_b on the path.  As min(v_cap, √N_up) ≤ v_cap, a point with
+      |c| > ρ = i_cut·(v_cap + 1e-9)/(1 − e) is cut, and those left have
+      |q − Q_k| ≤ √(ρ² − (Re c)²), Q_k being the reactive load at k.  With
+      ascending ``q_values`` a column widens that interval by 1e-9
+      relative, finds it by bisection and tests only the points inside; a
+      NaN or an infinite interval tests them all.
     * Transfer.  The forward sweep gives exactly p0 = −Σ Re c_j
       − Σ_b r_b|I_b|² − Re Σ (y_j − x_j)·conj(J_j).  Here −Σ Re c_j =
       p − P_loads and the losses are at least
@@ -171,28 +178,40 @@ class _ColumnScan:
       y_i·conj I_b = C_j + Σ_{b′ at or below b} z_b′·|I_b′|²
       + Σ_{m below b} conj(J_m)·(y_m − x_m), where
       C_j = Σ_{m at or below j} c_m = L_j − (p + jq) on the path, L_j being
-      the load at or below j.  With Ī_b′ ≥ |I_b′|, the sum over the path
-      gives |y_k|² ≥ N − Loss, where
-      N = V0² + 2·(p·R + q·X) − 2·Σ_{b on path} Re(z̄_b·L_b)
-      − 2·Z_p·``_TOL``·A, with R, X and Z_p the path sums of r, x and |z|,
-      and Loss = 2·Σ_{b on path} |z_b|·Σ_{b′ at or below b} |z_b′|·Ī_b′².
+      the load at or below j.  Summed over the path, |y_k|² is
+      V0² + 2·(p·R + q·X) − 2·Σ_{b on path} Re(z̄_b·L_b), with R and X the
+      path sums of r and x, less the loss terms 2·Re(z̄_b·z_b′)·|I_b′|² of
+      the branches b′ below b, less |z_b|²·|I_b|² for b′ = b (the identity's
+      +|z_b|²·|I_b|² cancels half of that term), and less mismatch terms of
+      at most 2·Z_p·``_TOL``·A in all, Z_p being the path sum of |z|.
+      ``Impedance`` keeps r, x ≥ 0, so each Re(z̄_b·z_b′) = r_b·r_b′ +
+      x_b·x_b′ lies in [0, |z_b|·|z_b′|].  Hence N − Loss ≤ |y_k|² ≤ N_up,
+      where N and N_up are the sum without its loss and mismatch terms,
+      with 2·Z_p·``_TOL``·A and the margins below subtracted and added, and,
+      for any Ī_b′ ≥ |I_b′|,
+      Loss = Σ_{b on path} |z_b|·(|z_b|·Ī_b² + 2·Σ_{b′ below b} |z_b′|·Ī_b′²).
       Off the path Ī = min(a, D).  On it, Ī = a gives a constant Λ_a, and
       Ī = i + D with i = |c|(1 + e)/(v − ``_TOL``) ≥ |J_k|, v = |y_k|,
-      gives a quadratic in i, so φ(v) = v² + Loss is convex in v.  Every
-      such state thus has φ(v) ≥ N with v in [F_k, v_cap], and
-      v² + Λ_a ≥ N.  Below v1 = √(N − Λ_a), v² + Λ_a < N.  (c) A point
-      with N > v_cap² is not solved when [max(F_k, v1), v_cap] is empty,
-      or when φ < N at both of its ends.  The solver's arithmetic keeps
-      voltages within v_cap and currents within A, so it moves |y_k|² by
-      less than e·(v_cap + Z·A)·(v_cap + 2·Z_p·A)/8, Z being the sum of
-      all |z_b|; N subtracts that margin without the 1/8, and
-      2e·(|p| + |q|)·Z_p + 2e·Σ|z_b|·|L_b| for its own rounding, and the
-      factors 1 ± e round v1, Λ_a and φ outward.  An infinite ampacity in
-      A or on the path makes N or Λ_a infinite, which turns rule (c) off,
-      and so does an infinite cap.
+      gives a quadratic in i with nonnegative coefficients, so
+      φ(v) = v² + Loss is convex in v.  Every such state thus has φ(v) ≥ N
+      and v² + Λ_a ≥ N; below v1 = √(N − Λ_a), v² + Λ_a < N.  Its v is at
+      least F_k, and, since |J_k| ≤ i_cut, also |x_k| − ``_TOL`` ≥
+      |c|/i_cut − ``_TOL``, which shuts out a low root whose current the
+      ampacities cannot carry.  (c) A point with N > v_cap² is not solved
+      when [lo, v_cap] is empty, lo being the largest of F_k, v1 and
+      |c|·(1 − e)/i_cut − ``_TOL``, or when φ < N at both of its ends.
+      The solver's arithmetic keeps voltages within v_cap and currents
+      within A, so it moves |y_k|² by less than
+      e·(v_cap + Z·A)·(v_cap + 2·Z_p·A)/8, Z being the sum of all |z_b|; N
+      subtracts that margin without the 1/8, and e·V0²,
+      2e·(|p| + |q|)·Z_p and 2e·Σ|z_b|·|L_b| for its own rounding, N_up
+      adds them all, and the factors 1 ± e round v1, Λ_a and φ outward.  An
+      infinite ampacity in A or on the path makes N, N_up or Λ_a infinite,
+      which turns rule (c) and the N_up bound off, and so does an infinite
+      cap.
 
-    Without a finite cap, i_min = 0·|c| (NaN once |c| overflows), m is
-    infinite and N is not finite, so no point is cut.
+    Without a finite cap, i_min = 0·|c| (NaN once |c| overflows), ρ and m
+    are infinite and N is not finite, so no point is cut.
     """
 
     def __init__(self, model: FeederModel, bus: str, v_plus: float, p_plus: float | None):
@@ -232,7 +251,9 @@ class _ColumnScan:
             j = model._parent[j]
         self.i_cut = min(amp[j] + d for j, d, _ in self.path)
         self.cons = model._cons[k]
-        self.i_scale = (1.0 - e) / (v_cap + 1e-9)
+        self.e = e
+        # ρ of rule (a), widened by 1e-9 relative
+        self.reach = self.i_cut * (v_cap + 1e-9) / (1.0 - e) * (1.0 + 1e-9)
         drawn = sum(a for j, a in enumerate(at_bus) if j == k or model._cons[j])
         p_loads = model.total_load().p
         # b + m = p + 1e-9·|p| + offset − L·(1 − 1e-9)
@@ -251,14 +272,16 @@ class _ColumnScan:
             x_sum += z.x
             s_load += z.r * sub_load[j].real + z.x * sub_load[j].imag
             s_abs += z_abs[j] * abs(sub_load[j])
-        # Loss/2 = Σ_b w_b·Ī_b² with w_b = |z_b|·path_z: lam_a with Ī_b = a_b
-        # on the path, q0 + q1·i + q2·i² with Ī_b = i + D_b there
+        # Loss/2 = Σ_b w_b·Ī_b² with w_b = |z_b|·path_z, less |z_b|²/2 on the
+        # path: lam_a with Ī_b = a_b on the path, q0 + q1·i + q2·i² with
+        # Ī_b = i + D_b there
         lam_a = q0 = q1 = q2 = 0.0
         for j in range(1, n):
             w = z_abs[j] * path_z[j]
             if not w:  # keeps 0·inf out
                 continue
             if j in on_path:
+                w -= 0.5 * z_abs[j] * z_abs[j]
                 d = below[j]
                 lam_a += w * (amp[j] * amp[j])
                 q0 += w * (d * d)
@@ -270,23 +293,52 @@ class _ColumnScan:
                 q0 += w * (i_bar * i_bar)
         z_p = path_z[k]
         rounding = e * (v_cap + sum(z_abs) * drawn) * (v_cap + 2.0 * z_p * drawn)
-        n0 = model.v0 * model.v0 * (1.0 - e) - 2.0 * (s_load + e * s_abs + z_p * _TOL * drawn)
-        # N(p, q) = n0 − rounding + 2·(p·R + q·X) − 2e·(|p| + |q|)·Z_p; then
-        # Λ_a, the quadratic's coefficients, F_k and e
+        v0_sq = model.v0 * model.v0
+        margin = e * s_abs + z_p * _TOL * drawn
+        # N(p, q) = n0 + 2·(p·R + q·X) − 2e·(|p| + |q|)·Z_p: n0 and the three
+        # coefficients; then Λ_a and F_k
         self.rise = (
-            n0 - rounding, 2.0 * r_sum, 2.0 * x_sum, 2.0 * e * z_p,
-            2.0 * lam_a * (1.0 + e), 2.0 * q0, 2.0 * q1, 2.0 * q2,
-            model.v0 * (1.0 - e) - drop[k] * (1.0 + e), e,
+            v0_sq * (1.0 - e) - 2.0 * (s_load + margin) - rounding, 2.0 * r_sum, 2.0 * x_sum,
+            2.0 * e * z_p, 2.0 * lam_a * (1.0 + e), model.v0 * (1.0 - e) - drop[k] * (1.0 + e),
+        )
+        # Loss = loss[0] + loss[1]·i + loss[2]·i²
+        self.loss = (2.0 * q0, 2.0 * q1, 2.0 * q2)
+        # N_up(p, q) = up0 + 2·(p·R + q·X) + 2e·(|p| + |q|)·Z_p, likewise
+        self.ceiling = (
+            v0_sq * (1.0 + e) - 2.0 * (s_load - margin) + rounding, 2.0 * r_sum, 2.0 * x_sum,
+            2.0 * e * z_p,
         )
 
-    def column(self, p: float, q_values) -> list[tuple[float, int, float]]:
-        """(i_min, grid index, q) of each point rule (a) keeps, in scan order."""
+    def column(self, p: float, q_values, ascending: bool = False) -> list[tuple[float, int, float]]:
+        """(i_min, grid index, q) of each point rule (a) keeps, in scan order.
+        ``ascending`` says that ``q_values`` is sorted, so that only the
+        interval of q that rule (a) can keep is tested point by point."""
         # c = cons − (p + jq), part by part as complex subtraction does it
         c_re, c_im = self.cons.real - p, self.cons.imag
-        scale, i_cut = self.i_scale, self.i_cut
+        first, last = 0, len(q_values)
+        if ascending:
+            # rule (a) at the cap keeps only |q − c_im| ≤ √(ρ² − c_re²)
+            span = self.reach * self.reach - c_re * c_re
+            if span < 0.0:
+                return []
+            span = math.sqrt(span)
+            # widened for the rounding of c_im ± span
+            span += 1e-9 * (span + abs(c_im))
+            # written so that NaN and an infinite interval fall back to them all
+            if span < math.inf:
+                first = bisect.bisect_left(q_values, c_im - span)
+                last = bisect.bisect_right(q_values, c_im + span, first)
+        up0, r2, x2, m2 = self.ceiling
+        up_p = up0 + p * r2 + abs(p) * m2
+        v_cap, i_cut = self.v_cap, self.i_cut
+        v_cap_sq, shrink = v_cap * v_cap, 1.0 - self.e
         kept = []
-        for at, q in enumerate(q_values):
-            i_min = math.hypot(c_re, c_im - q) * scale
+        for at in range(first, last):
+            q = q_values[at]
+            # min(v_cap, √N_up), written so that NaN gives v_cap
+            v_top = up_p + q * x2 + abs(q) * m2
+            v_top = math.sqrt(max(v_top, 0.0)) if v_top < v_cap_sq else v_cap
+            i_min = math.hypot(c_re, c_im - q) * shrink / (v_top + 1e-9)
             # written so that NaN keeps the point
             if not i_min > i_cut:
                 kept.append((i_min, at, q))
@@ -306,33 +358,47 @@ class _ColumnScan:
             top -= r * t * t
         return top
 
+    def rise_floor(self, p: float, q: float) -> tuple[float, float, float]:
+        """N, lo and |c|·(1 + e) of rule (c) at generation p + jq: every state
+        the capped solver could return there, and that passes the ampacity
+        test, has φ(|y_k|) ≥ N and |y_k| ≥ lo."""
+        n0, r2, x2, m2, lam_a, floor = self.rise
+        e = self.e
+        big_n = n0 + (p * r2 + q * x2) - (abs(p) + abs(q)) * m2
+        # v² + Λ_a < N for v below v1
+        gap = big_n - lam_a
+        lo = math.sqrt(gap) * (1.0 - e) if gap > 0.0 else 0.0
+        if floor > lo:
+            lo = floor
+        # a state within the ampacities has |J_k| ≤ i_cut, so |x_k| ≥ |c|/i_cut
+        size = math.hypot(self.cons.real - p, self.cons.imag - q)
+        at_amp = size * (1.0 - e) / self.i_cut - _TOL
+        if at_amp > lo:
+            lo = at_amp
+        return big_n, lo, size * (1.0 + e)
+
+    def phi(self, v: float, c: float) -> float:
+        """φ(v) of rule (c), rounded up, where c = |c|·(1 + e)."""
+        q0, q1, q2 = self.loss
+        i = c / (v - _TOL)
+        return (v * v + q0 + i * (q1 + i * q2)) * (1.0 + self.e)
+
     def over_cap(self, p: float, q: float) -> bool:
         """Rule (c) of the class docstring: True when every state the capped
         solver could return at p + jq, and that passes the ampacity test,
         has |y_k| > v_cap."""
-        n0, r2, x2, m2, lam_a, q0, q1, q2, floor, e = self.rise
-        big_n = n0 + (p * r2 + q * x2) - (abs(p) + abs(q)) * m2
+        big_n, lo, c = self.rise_floor(p, q)
         v_cap = self.v_cap
         # φ(v_cap) ≥ v_cap², so no cut unless N exceeds it; an overflow to
         # +inf would round N up, and NaN keeps the point too
         if not v_cap * v_cap < big_n < math.inf:
             return False
-        # v² + Λ_a < N for v below v1, so only [max(F_k, v1), v_cap] is left
-        gap = big_n - lam_a
-        lo = math.sqrt(gap) * (1.0 - e) if gap > 0.0 else 0.0
-        if floor > lo:
-            lo = floor
         if lo >= v_cap:
             return True
         if not lo > _TOL:
             return False
         # φ is convex, so it stays below N on [lo, v_cap] if it does at both ends
-        c = math.hypot(self.cons.real - p, self.cons.imag - q) * (1.0 + e)
-        for v in (lo, v_cap):
-            i = c / (v - _TOL)
-            if not (v * v + q0 + i * (q1 + i * q2)) * (1.0 + e) < big_n:
-                return False
-        return True
+        return self.phi(lo, c) < big_n and self.phi(v_cap, c) < big_n
 
     def admit(self, p: float, q: float) -> FrontierPoint | None:
         """The point at generation p + jq as solved, or None when rule (c)
@@ -351,17 +417,17 @@ class _ColumnScan:
             return None
         return FrontierPoint(p, q, p0, max(currents.values()), abs(res.voltages[self.bus]))
 
-    def best(self, p: float, q_values) -> FrontierPoint | None:
+    def best(self, p: float, q_values, ascending: bool = False) -> FrontierPoint | None:
         """Feasible point of the column at generation ``p`` with maximum
         transferred power, or None when no grid point is feasible.
 
         Points rank by (p0, −|q|, −grid index), compared strictly: larger
         transfer wins, exact ties go to the reactive power of smaller
         magnitude, then to the lower grid index, as in a scan of
-        ``q_values`` in order.
+        ``q_values`` in order.  ``ascending`` is as for :meth:`column`.
         """
         best = best_rank = None
-        for i_min, at, q in self.column(p, q_values):
+        for i_min, at, q in self.column(p, q_values, ascending):
             if best is not None and self.transfer_bound(p, i_min) < best.p0_sub:
                 break
             pt = self.admit(p, q)
@@ -376,7 +442,8 @@ class _ColumnScan:
 def best_reactive_point(model, bus, p, q_values, v_plus, p_plus):
     """Feasible point with maximum transferred power at generation ``p``, or
     None: one column of :func:`run_sweep`, as :meth:`_ColumnScan.best` finds it."""
-    return _ColumnScan(model, bus, v_plus, p_plus).best(p, q_values)
+    ascending = all(a <= b for a, b in zip(q_values, q_values[1:]))
+    return _ColumnScan(model, bus, v_plus, p_plus).best(p, q_values, ascending)
 
 
 def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
@@ -388,7 +455,8 @@ def run_sweep(model: FeederModel, bus: str, config: SweepConfig) -> SweepReport:
     case, s_load = two_bus_equivalent(model, bus, v_plus=config.v_plus)
     q_values = config.q_values()
     scan = _ColumnScan(model, bus, config.v_plus, config.p_plus)
-    columns = (scan.best(p, q_values) for p in config.p_values())
+    # lo + k·step rounds monotonically, so the grid is ascending
+    columns = (scan.best(p, q_values, True) for p in config.p_values())
     frontier = [pt for pt in columns if pt is not None]
     if not frontier:
         raise NoFeasiblePointError("no grid point satisfies all constraints")

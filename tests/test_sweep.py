@@ -1,7 +1,9 @@
 """Tests for the brute-force grid sweep and its frontier curves."""
 
 import dataclasses
+import importlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from feederlimits.twobus import solve as solve_two_bus
 
 SQ2 = math.sqrt(2.0)
 Z45 = Impedance(1.0 / SQ2, 1.0 / SQ2)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def full_scan(model, bus, config, capped=True):
@@ -122,12 +125,13 @@ def assert_columns_agree(model, bus, config):
 
 
 def assert_cut_points_break_a_limit(model, bus, config):
-    """At every point that rule (c) cuts, an uncapped solve fails, or ends
-    with some |V| over the cap or some current over its ampacity."""
+    """At every point that rule (a) or rule (c) cuts, an uncapped solve
+    fails, or ends with some |V| over the cap or some current over its
+    ampacity."""
     scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus, config.p_plus)
     for p in config.p_values():
         for q in config.q_values():
-            if not scan.over_cap(p, q):
+            if scan.column(p, [q]) and not scan.over_cap(p, q):
                 continue
             try:
                 res = solve_feeder(model, {bus: ComplexPower(p, q)})
@@ -137,6 +141,45 @@ def assert_cut_points_break_a_limit(model, bus, config):
             assert max(map(abs, res.voltages.values())) > scan.v_cap or any(
                 i > a for i, a in zip(current, scan.amp)
             )
+
+
+def assert_rise_bounds_hold_at(scan, p, q, v):
+    """N − Loss ≤ v² ≤ N_up, and v ≥ lo of rule (c), for the generator
+    bus's |y_k| = v at a state within the ampacities.  A NaN bound, as
+    where a current has no bound, cuts nothing, so it passes."""
+    up0, r2, x2, m2 = scan.ceiling
+    assert not v * v > up0 + (p * r2 + q * x2) + (abs(p) + abs(q)) * m2
+    big_n, lo, c = scan.rise_floor(p, q)
+    assert v >= lo
+    assert not scan.phi(v, c) < big_n
+
+
+def assert_rise_bounds_hold(model, bus, config):
+    """The bounds of :func:`assert_rise_bounds_hold_at` at every state that
+    the capped solver returns and that passes the ampacity test."""
+    scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus, config.p_plus)
+    for p in config.p_values():
+        for q in config.q_values():
+            try:
+                res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=scan.v_cap)
+            except (ConvergenceError, VoltageLimitError):
+                continue
+            current = [0.0, *(res.branch_currents[key] for key in model._branch_keys)]
+            if all(i <= a for i, a in zip(current, scan.amp)):
+                assert_rise_bounds_hold_at(scan, p, q, abs(res.voltages[bus]))
+
+
+def at_its_ampacities(model, res):
+    """``model`` with each ampacity set so that, with the sweep's slack, it
+    equals the current of the state ``res`` or lies an ulp or two above."""
+    branches = []
+    for br in model.branches:
+        current = res.branch_currents[br.from_bus, br.to_bus]
+        ampacity = max(current - 1e-9, 0.0)
+        while ampacity + 1e-9 < current:
+            ampacity = math.nextafter(ampacity, math.inf)
+        branches.append(dataclasses.replace(br, ampacity=ampacity))
+    return dataclasses.replace(model, branches=tuple(branches))
 
 
 def reactive_load_model(load_q):
@@ -482,8 +525,11 @@ class TestRunSweep:
         # would rarely change one
         model, bus, config = sweep
         scan = feederlimits.sweep._ColumnScan(model, bus, config.v_plus, config.p_plus)
+        q_values = config.q_values()
         for p in config.p_values():
-            for q in config.q_values():
+            # the bisected column keeps what the full pass keeps
+            assert scan.column(p, q_values, True) == scan.column(p, q_values)
+            for q in q_values:
                 admitted = scan.admit(p, q)
                 try:
                     res = solve_feeder(model, {bus: ComplexPower(p, q)}, v_cap=scan.v_cap)
@@ -510,6 +556,7 @@ class TestRunSweep:
                     for j, d, _ in scan.path:
                         assert current[j] >= i_min - d
                     assert p0 <= scan.transfer_bound(p, i_min)
+                    assert_rise_bounds_hold_at(scan, p, q, abs(res.voltages[bus]))
 
     @settings(max_examples=60, deadline=None)
     @given(bus_sweeps())
@@ -526,11 +573,12 @@ class TestRunSweep:
         st.floats(0.95, 1.2),
     )
     def test_voltage_rise_cut_leaves_no_root_of_a_chain(self, n, r, x, v0, ampacity, v_plus):
-        # the bound holds for every power flow within the ampacities, not
+        # the bounds hold for every power flow within the ampacities, not
         # only for the high-voltage root that the solver finds.  An unloaded
         # chain of n equal branches is the two-bus case of their sum, so at
-        # a cut point neither root of its quadratic is within the cap and
-        # the ampacity (up to 1e-9, for the closed form's rounding)
+        # a point that rule (a) or rule (c) cuts neither root of its
+        # quadratic is within the cap and the ampacity (up to 1e-9, for the
+        # closed form's rounding)
         model = FeederModel(
             buses=tuple(str(j) for j in range(n + 1)),
             branches=tuple(
@@ -546,7 +594,7 @@ class TestRunSweep:
         config = coarse_config(p_range=(-0.5, 2.0, 0.1), q_range=(-2.0, 1.0, 0.1))
         for p in config.p_values():
             for q in config.q_values():
-                if not scan.over_cap(p, q):
+                if scan.column(p, [q]) and not scan.over_cap(p, q):
                     continue
                 s_t = rotate(ComplexPower(p, q), z)
                 for branch in Branch:
@@ -567,6 +615,71 @@ class TestRunSweep:
         config = criterion5_window(model, str(bus), 12, v_plus=v_plus)
         assert_cut_points_break_a_limit(model, str(bus), config)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(2, 34), st.floats(1.0, 1.12))
+    def test_voltage_rise_bounds_hold_on_deep_feeders(self, seed, bus, v_plus):
+        model, _ = deep_feeder(seed)
+        config = criterion5_window(model, str(bus), 12, v_plus=v_plus)
+        assert_rise_bounds_hold(model, str(bus), config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(radial_feeders(), st.floats(1.0, 1.2))
+    def test_voltage_rise_bounds_hold_with_each_current_at_its_ampacity(self, feeder, headroom):
+        # where no loaded bus lies below the generator's branch, its current
+        # is |J_k| = i_cut, so the floor |c|/i_cut − 1e-10 is |x_k| − 1e-10,
+        # within the solver's last voltage change of |y_k|
+        model, injections = feeder
+        ((bus, s),) = injections.items()
+        try:
+            res = solve_feeder(model, injections)
+        except ConvergenceError:
+            return
+        v_plus = max(map(abs, res.voltages.values())) * headroom
+        config = SweepConfig((s.p, s.p, 1.0), (s.q, s.q, 1.0), v_plus)
+        assert_rise_bounds_hold(at_its_ampacities(model, res), bus, config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-12, 1e-8), st.floats(0.0, 10.0), st.floats(0.9, 1.1))
+    def test_voltage_rise_bounds_hold_where_the_losses_are_below_rounding(self, z_mag, lam, v0):
+        # on so short a line |y_k|² and N_up's sum without its margins
+        # differ by less than their rounding, so the margins alone keep
+        # the bound
+        model = single_branch_model(Impedance.from_ratio(lam, z_mag), v0, ampacity=3.0)
+        config = coarse_config(p_range=(-0.5, 2.0, 0.25), q_range=(-2.0, 1.0, 0.25), v_plus=1.2)
+        assert_rise_bounds_hold(model, "g", config)
+
+    def test_column_interval_keeps_the_points_on_its_edge(self):
+        # reactive powers within 2e-9 relative of the edge of rule (a) at
+        # the cap, where N_up is over the cap; the full pass keeps some
+        model = single_branch_model(Z45, v0=1.0, ampacity=0.9)
+        scan = feederlimits.sweep._ColumnScan(model, "g", 1.06, None)
+        p = 0.3
+        rho = scan.i_cut * (scan.v_cap + 1e-9) / (1.0 - scan.e)
+        edge = math.sqrt(rho * rho - p * p)
+        q_values = [edge * (1.0 + k * 1e-10) for k in range(-20, 21)]
+        kept = scan.column(p, q_values)
+        assert 0 < len(kept) < len(q_values)
+        assert scan.column(p, q_values, True) == kept
+
+    @settings(max_examples=30, deadline=None)
+    @given(bus_sweeps(), st.randoms(use_true_random=False))
+    def test_unsorted_reactive_powers_give_the_same_point(self, sweep, rng):
+        # only an ascending q_values is bisected; any other order falls back
+        # to testing every point
+        model, bus, config = sweep
+        q_values = config.q_values()
+        shuffled = q_values[:]
+        rng.shuffle(shuffled)
+
+        def point(p, qs):
+            pt = best_reactive_point(model, bus, p, qs, config.v_plus, config.p_plus)
+            return None if pt is None else bits([pt])
+
+        for p in config.p_values():
+            expected = point(p, q_values)
+            assert point(p, q_values[::-1]) == expected
+            assert point(p, shuffled) == expected
+
     def test_voltage_rise_cut_needs_a_finite_cap(self):
         # with v_cap = inf the rule cuts nothing, even where |c| overflows
         model = load_feeder(bundled_feeder_path())
@@ -576,8 +689,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize(
         "grid, solved",
-        # solves without rule (c): 22,907, 137 and 134
-        [("criterion-5", 1_500), ("feeder12-coarse", 21), ("deep-feeder", 16)],
+        # solves without rule (c): 22,907, 137 and 134; with rule (c) but
+        # with a loss bound that charged each path branch's own loss twice
+        # and no N_up bound: 1,500, 21 and 16
+        [("criterion-5", 340), ("feeder12-coarse", 14), ("deep-feeder", 13)],
     )
     def test_voltage_rise_cut_skips_most_points_over_the_cap(self, monkeypatch, grid, solved):
         model, bus = load_feeder(bundled_feeder_path()), "12"
@@ -609,9 +724,28 @@ class TestRunSweep:
         report = run_sweep(model, "g", config)
         assert report.frontier
         points = len(config.p_values()) * len(config.q_values())
-        # the ampacity rule alone leaves 156 of these 3,321 points, 4.7 %;
-        # the transfer bound cuts that to 62
+        # the ampacity rule alone leaves 135 of these 3,321 points, 4.1 %,
+        # the voltage-rise rule 41 of those, and the transfer bound cuts
+        # that to 15 solves
         assert len(calls) < 0.03 * points
+
+    @pytest.mark.parametrize(
+        "workload, solved",
+        # before the N_up bound and the halved loss of each path branch:
+        # 196, 203 and 52
+        [("study-1branch", 33), ("study-feeder12", 63), ("study-deep34", 41)],
+    )
+    def test_benchmark_lattice_solves_few_points(self, monkeypatch, tmp_path, workload, solved):
+        # the benchmark's timings move with the machine; its seed-1 lattice,
+        # all six column sets, counts the solver calls that the cuts leave
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        wl = workloads.build(workload, 1, str(tmp_path), str(bundled_feeder_path()))
+        model = load_feeder(wl.feeder_path)
+        calls = count_calls(monkeypatch, feederlimits.sweep, "solve_feeder")
+        for p_range in workloads.subgrids(wl.p_range):
+            run_sweep(model, wl.bus, SweepConfig(p_range, wl.q_range, workloads.V_PLUS))
+        assert len(calls) <= solved
 
     def test_voltage_cap_proof_is_tried_rarely(self, monkeypatch):
         # with no ampacity every point is solved; the solver tries its cap
@@ -630,15 +764,16 @@ class TestRunSweep:
         assert len(proofs) <= 4_000
 
     def test_voltage_cap_proof_holds_where_the_cap_rejects_most_points(self, monkeypatch):
-        # on the criterion-5 window most points lie over the voltage cap;
-        # rule (c) skips all but 26 of them (908 were solved without it),
-        # and each of those is rejected by one proof try, which never fails
+        # on the criterion-5 window most points lie over the voltage cap.
+        # At bus 12 rule (c) now skips all of them; at the junction bus 8 the
+        # sweep still solves 1,057 points, and the cap rejects 349 of them,
+        # each by one proof try, which never fails
         model = load_feeder(bundled_feeder_path())
         config = coarse_config(p_range=(0.0, 3.2, 0.1), q_range=(-2.6, 0.4, 0.05))
         floors = []
         proofs = count_calls(monkeypatch, feederlimits.feeder, "_voltage_floor", floors)
-        run_sweep(model, "12", config)
-        assert len(proofs) == 26
+        run_sweep(model, "8", config)
+        assert len(proofs) == 349
         assert None not in floors
 
     def test_voltage_cap_proof_holds_at_every_point_of_the_window(self, monkeypatch):
@@ -666,7 +801,7 @@ class TestRunSweep:
         "bus, solved",
         # feeder12's bus 8 feeds buses 11 and 12; without the losses of the
         # whole path both solve more points: all 272 at bus 8, 208 at bus 12
-        [("8", 243), ("12", 137)],
+        [("8", 139), ("12", 14)],
     )
     def test_feeder12_sweep_equals_full_scan_and_solves_fewer_points(
         self, monkeypatch, bus, solved
